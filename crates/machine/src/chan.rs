@@ -9,10 +9,45 @@
 //! depth to a few frames per sender; see DESIGN.md §11).
 //!
 //! Blocking is the scheduler's job, not the channel's: receivers probe with
-//! [`FrameReceiver::try_recv`] and park in [`crate::sched::Scheduler`];
-//! each sender clone carries a *waker* — the destination's scheduler handle
-//! — so every enqueue (data, acks, retransmissions, poison) unparks the
-//! destination, whichever thread performed it.
+//! [`FrameReceiver::try_recv`] and park in [`crate::sched::Scheduler`].
+//! The channel carries a *waker* — the destination's scheduler handle, set
+//! once at machine start — so an enqueue on any thread can unpark the
+//! destination.
+//!
+//! ## Targeted wake-ups
+//!
+//! A processor parked in a receive waits for one `(src, tag)`; waking it
+//! for any other frame only makes it drain that frame and park again. So a
+//! receiver about to park [arms](FrameReceiver::arm) a *wait filter* that
+//! lives under the same mutex as the queue, and [`FrameSender::send`]
+//! unparks only when the frame can end the wait:
+//!
+//! | filter | `Raw` frame | `Data` / `Ack` / `Poison` |
+//! |---|---|---|
+//! | not armed | wake | wake |
+//! | armed for `(src, tag)` | wake iff it matches | wake |
+//!
+//! Every plain probe ([`FrameReceiver::try_recv`]) clears the filter, so
+//! parks that do not arm (pool back-pressure, transport flush) keep waking
+//! on every frame.
+//!
+//! The race argument is short. Arming and enqueuing are serialized by the
+//! queue lock, and arming refuses when a frame is already queued — so a
+//! frame is either visible to the receiver's drain or judged against the
+//! armed filter, never lost between the two. The sender calls
+//! [`Scheduler::unpark`] before releasing the queue lock (lock order:
+//! channel queue, then scheduler; the scheduler never takes a channel
+//! lock). So a wake lands before the receiver can probe or arm again: a
+//! wake meant for the armed filter that lands before the receiver reaches
+//! its park sets the scheduler's wake token, and the park returns at once;
+//! a wake decided while no filter was armed can never reach a later park
+//! it was not meant for — at worst it leaves a token that a park consumes
+//! without sleeping.
+//!
+//! Receive timeouts see the filter only indirectly: unrelated frames queue
+//! without waking the receiver, so they restart its deadline when it next
+//! drains — after the awaited frame, or after the park times out (see
+//! `Proc::try_recv_packet`).
 //!
 //! The ring capacity is scale-aware (see [`default_capacity`]): the
 //! original fixed 1024-frame pre-reserve is kept through P=64 so small-P
@@ -22,7 +57,7 @@
 //! `mem.mailbox.ring` account at processor start (see DESIGN.md §13).
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::message::Frame;
 use crate::sched::Scheduler;
@@ -57,14 +92,21 @@ pub fn ring_bytes(cap: usize) -> u64 {
     (cap * std::mem::size_of::<Frame>()) as u64
 }
 
+/// Queue and wait filter, guarded together.
+struct Inbox {
+    frames: VecDeque<Frame>,
+    /// The `(src, tag)` a receiver parked for; `None` wakes on any frame.
+    want: Option<(usize, u64)>,
+}
+
 struct Shared {
-    queue: Mutex<VecDeque<Frame>>,
+    inbox: Mutex<Inbox>,
     /// Pre-reserved ring capacity (the charged quantity; the `VecDeque`
     /// may round up internally).
     capacity: usize,
     /// Destination scheduler handle: set once at machine start, before any
-    /// sender clone escapes, so every enqueue can unpark the receiver.
-    waker: Mutex<Option<(Arc<Scheduler>, usize)>>,
+    /// sender clone escapes, and only ever borrowed afterwards.
+    waker: OnceLock<(Arc<Scheduler>, usize)>,
 }
 
 /// Sending half; cheaply cloneable, one clone per peer processor.
@@ -88,9 +130,12 @@ pub(crate) struct FrameReceiver {
 /// A connected channel with `capacity` slots pre-reserved.
 pub(crate) fn frame_channel_with_capacity(capacity: usize) -> (FrameSender, FrameReceiver) {
     let shared = Arc::new(Shared {
-        queue: Mutex::new(VecDeque::with_capacity(capacity)),
+        inbox: Mutex::new(Inbox {
+            frames: VecDeque::with_capacity(capacity),
+            want: None,
+        }),
         capacity,
-        waker: Mutex::new(None),
+        waker: OnceLock::new(),
     });
     (
         FrameSender {
@@ -107,31 +152,58 @@ pub(crate) fn frame_channel() -> (FrameSender, FrameReceiver) {
 }
 
 impl FrameSender {
-    /// Enqueue a frame and unpark the destination. Never blocks; receivers
-    /// may already be gone during teardown, in which case the frame is
-    /// silently parked in the queue (the stale unpark is harmless — a
-    /// finished task ignores wakes).
+    /// Enqueue a frame and, when the receiver's wait filter says the frame
+    /// can end its wait, unpark it. Never blocks; receivers may already be
+    /// gone during teardown, in which case the frame is silently parked in
+    /// the queue (the stale unpark is harmless — a finished task ignores
+    /// wakes).
     pub(crate) fn send(&self, frame: Frame) {
-        let mut q = self.shared.queue.lock().unwrap();
-        q.push_back(frame);
-        drop(q);
-        let waker = self.shared.waker.lock().unwrap().clone();
-        if let Some((sched, dst)) = waker {
-            sched.unpark(dst);
+        let mut inbox = self.shared.inbox.lock().unwrap();
+        let wake = match (inbox.want, &frame) {
+            (Some((src, tag)), Frame::Raw(p)) => p.src == src && p.tag == tag,
+            _ => true,
+        };
+        inbox.frames.push_back(frame);
+        if wake {
+            // Still under the queue lock, so the wake lands before the
+            // receiver can probe or arm again (see the module docs).
+            if let Some((sched, dst)) = self.shared.waker.get() {
+                sched.unpark(*dst);
+            }
         }
     }
 }
 
 impl FrameReceiver {
     /// Register the owning processor's scheduler handle so senders can
-    /// unpark it. Called by the machine driver before carriers start.
+    /// unpark it. Called once by the machine driver before carriers start.
     pub(crate) fn attach_waker(&self, sched: Arc<Scheduler>, owner: usize) {
-        *self.shared.waker.lock().unwrap() = Some((sched, owner));
+        assert!(
+            self.shared.waker.set((sched, owner)).is_ok(),
+            "channel waker attached twice"
+        );
     }
 
-    /// Dequeue the next frame if one is already queued.
+    /// Dequeue the next frame if one is already queued. Clears the wait
+    /// filter: after any probe, every frame wakes again until the next
+    /// [`FrameReceiver::arm`].
     pub(crate) fn try_recv(&self) -> Option<Frame> {
-        self.shared.queue.lock().unwrap().pop_front()
+        let mut inbox = self.shared.inbox.lock().unwrap();
+        inbox.want = None;
+        inbox.frames.pop_front()
+    }
+
+    /// Arm the wait filter ahead of a receive park: until the next probe,
+    /// only a `Raw` frame from `src` under `tag` (or a non-`Raw` frame)
+    /// unparks this receiver. Refuses, returning `false`, when a frame is
+    /// already queued — the caller must drain it instead of parking.
+    pub(crate) fn arm(&self, src: usize, tag: u64) -> bool {
+        let mut inbox = self.shared.inbox.lock().unwrap();
+        if !inbox.frames.is_empty() {
+            return false;
+        }
+        inbox.want = Some((src, tag));
+        true
     }
 
     /// The pre-reserved ring capacity, in frames.
@@ -144,6 +216,7 @@ impl FrameReceiver {
 mod tests {
     use super::*;
     use crate::error::MachineError;
+    use crate::sched::ParkOutcome;
     use std::time::{Duration, Instant};
 
     fn poison() -> Frame {
@@ -194,11 +267,160 @@ mod tests {
         // frees the permit... but nothing ever wakes task 0, so it times
         // out — proving the send woke exactly its addressee.
         let out0 = s3.park(0, 0.0, Duration::from_millis(200));
-        assert_eq!(out0, crate::sched::ParkOutcome::TimedOut);
-        assert_eq!(parker.join().unwrap(), crate::sched::ParkOutcome::Woken);
+        assert_eq!(out0, ParkOutcome::TimedOut);
+        assert_eq!(parker.join().unwrap(), ParkOutcome::Woken);
         assert!(t0.elapsed() >= Duration::from_millis(20));
         assert!(matches!(rx.try_recv(), Some(Frame::Poison(_))));
         waker_thread.join().unwrap();
+    }
+
+    fn pkt(src: usize, tag: u64) -> crate::message::Packet {
+        crate::message::Packet {
+            src,
+            tag,
+            arrival_ns: 0.0,
+            words: 0,
+            data: Arc::new(()),
+            charge: None,
+        }
+    }
+
+    fn raw(src: usize, tag: u64) -> Frame {
+        Frame::Raw(pkt(src, tag))
+    }
+
+    /// A one-task scheduler whose task is running and owns `rx`. Whether a
+    /// send unparked it shows in the next park: a wake token makes it
+    /// return `Pending` at once, otherwise it times out.
+    fn running_owner() -> (Arc<Scheduler>, FrameSender, FrameReceiver) {
+        let sched = Arc::new(Scheduler::new(1, 1));
+        sched.acquire(0);
+        let (tx, rx) = frame_channel();
+        rx.attach_waker(Arc::clone(&sched), 0);
+        (sched, tx, rx)
+    }
+
+    fn was_unparked(sched: &Scheduler) -> bool {
+        match sched.park(0, 0.0, Duration::from_millis(1)) {
+            ParkOutcome::Pending => true,
+            ParkOutcome::TimedOut => false,
+            ParkOutcome::Woken => unreachable!("no other thread sends"),
+        }
+    }
+
+    #[test]
+    fn non_matching_raw_frame_does_not_unpark_an_armed_receiver() {
+        let (sched, tx, rx) = running_owner();
+        assert!(rx.arm(1, 7));
+        tx.send(raw(2, 7));
+        tx.send(raw(1, 8));
+        assert!(!was_unparked(&sched), "wrong src or tag must not wake");
+        assert_eq!(rx.shared.inbox.lock().unwrap().frames.len(), 2);
+    }
+
+    #[test]
+    fn matching_raw_frame_unparks_until_the_next_probe_clears_the_filter() {
+        let (sched, tx, rx) = running_owner();
+        assert!(rx.arm(1, 7));
+        tx.send(raw(1, 7));
+        assert!(was_unparked(&sched));
+        // The filter holds until the receiver probes.
+        tx.send(raw(2, 0));
+        assert!(!was_unparked(&sched));
+        // A probe clears the filter; from then on every frame wakes.
+        assert!(rx.try_recv().is_some());
+        tx.send(raw(3, 0));
+        assert!(was_unparked(&sched));
+    }
+
+    #[test]
+    fn control_and_sequenced_frames_always_unpark() {
+        let (sched, tx, rx) = running_owner();
+        let frames = [
+            Frame::Ack { from: 2, seq: 0 },
+            Frame::Data {
+                seq: 0,
+                pkt: pkt(2, 0),
+            },
+            poison(),
+        ];
+        for frame in frames {
+            while rx.try_recv().is_some() {}
+            assert!(rx.arm(1, 7));
+            tx.send(frame);
+            assert!(was_unparked(&sched));
+        }
+    }
+
+    #[test]
+    fn arming_refuses_on_a_non_empty_queue() {
+        let (sched, tx, rx) = running_owner();
+        tx.send(raw(2, 0));
+        assert!(
+            was_unparked(&sched),
+            "an unarmed receiver wakes on any frame"
+        );
+        assert!(
+            !rx.arm(1, 7),
+            "a queued frame must be drained, not slept on"
+        );
+        assert!(rx.try_recv().is_some());
+        assert!(rx.arm(1, 7));
+    }
+
+    /// Many senders race one receiver that arms, parks and drains in a
+    /// loop, waiting for each `(src, tag)` in an order unrelated to the
+    /// arrival order. A lost wake would show as a timed-out park.
+    #[test]
+    fn armed_receiver_never_misses_its_frame_under_contention() {
+        const SENDERS: usize = 4;
+        const FRAMES: usize = 300;
+        let sched = Arc::new(Scheduler::new(1, 1));
+        let (tx, rx) = frame_channel();
+        rx.attach_waker(Arc::clone(&sched), 0);
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|src| {
+                let tx = tx.clone();
+                std::thread::spawn(move || {
+                    for tag in 0..FRAMES as u64 {
+                        tx.send(raw(src, tag));
+                        if tag % 16 == src as u64 {
+                            tx.send(Frame::Ack {
+                                from: src,
+                                seq: tag,
+                            });
+                        }
+                        if tag % 7 == 0 {
+                            std::thread::yield_now();
+                        }
+                    }
+                })
+            })
+            .collect();
+        sched.acquire(0);
+        let mut got = vec![vec![false; FRAMES]; SENDERS];
+        for tag in 0..FRAMES {
+            for src in (0..SENDERS).rev() {
+                loop {
+                    while let Some(frame) = rx.try_recv() {
+                        if let Frame::Raw(p) = frame {
+                            got[p.src][p.tag as usize] = true;
+                        }
+                    }
+                    if got[src][tag] {
+                        break;
+                    }
+                    if rx.arm(src, tag as u64) {
+                        let out = sched.park(0, 0.0, Duration::from_secs(5));
+                        assert_ne!(out, ParkOutcome::TimedOut, "missed ({src}, {tag})");
+                    }
+                }
+            }
+        }
+        sched.finish(0);
+        for h in senders {
+            h.join().unwrap();
+        }
     }
 
     #[test]

@@ -69,4 +69,5 @@ pub use pool::{fresh_pool_key, BufferPool, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::{Checkpoint, RecoveryStats};
 pub use report::{Breakdown, RunOutput};
+pub use sched::SchedStats;
 pub use topology::ProcGrid;

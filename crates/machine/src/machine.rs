@@ -28,15 +28,17 @@ use std::time::Duration;
 
 use crate::chan::{default_capacity, frame_channel_with_capacity, FrameReceiver, FrameSender};
 
-use crate::cost::{CostModel, SimClock};
+use crate::cost::{ClockReport, CostModel, SimClock};
 use crate::error::MachineError;
 use crate::fault::FaultPlan;
 use crate::message::Frame;
+use crate::obs::{Event, MetricsSnapshot, WallProfile};
 use crate::proc::Proc;
 use crate::recovery::{RecoveryState, ResumeCtx};
 use crate::report::RunOutput;
-use crate::sched::Scheduler;
+use crate::sched::{SchedStats, Scheduler};
 use crate::topology::ProcGrid;
+use crate::trace::Span;
 
 /// Respawns of one processor before the recovery driver gives up. The crash
 /// schedule is disarmed on a respawned processor, so a second respawn of the
@@ -313,17 +315,7 @@ impl Machine {
         let p = self.nprocs();
         let rec = Arc::new(RecoveryState::new(p));
         let (txs, rxs, sched) = self.build_fabric();
-
-        type ProcOk<R> = (
-            R,
-            crate::cost::ClockReport,
-            Vec<crate::trace::Span>,
-            Vec<u64>,
-            Vec<crate::obs::Event>,
-            crate::obs::MetricsSnapshot,
-            crate::obs::WallProfile,
-        );
-        let mut out: Vec<Option<Result<ProcOk<R>, Failure>>> = (0..p).map(|_| None).collect();
+        let mut out: Vec<Option<ProcOut<R>>> = (0..p).map(|_| None).collect();
         let mut failures: Vec<(usize, Failure)> = Vec::new();
 
         std::thread::scope(|scope| {
@@ -333,20 +325,10 @@ impl Machine {
             // poison peers themselves — whether a failure is fatal is the
             // driver's call.
             let (done_tx, done_rx) =
-                std::sync::mpsc::channel::<(usize, Result<ProcOk<R>, Failure>, FrameReceiver)>();
+                std::sync::mpsc::channel::<(usize, Result<ProcOut<R>, Failure>, FrameReceiver)>();
             let spawn_worker = |id: usize, rx: FrameReceiver, resume: Option<ResumeCtx>| {
                 let txs = &txs;
-                let grid = &self.grid;
-                let cost = self.cost;
                 let program = &program;
-                let timeout = self.recv_timeout;
-                let tracing = self.tracing;
-                let obs = crate::obs::ObsConfig {
-                    events: self.tracing,
-                    metrics: self.metrics,
-                    wall: self.wall_profiling,
-                };
-                let plan = self.faults.clone();
                 let rec = Arc::clone(&rec);
                 let done = done_tx.clone();
                 let sched = Arc::clone(&sched);
@@ -360,64 +342,15 @@ impl Machine {
                         sched.enroll(id);
                     }
                     sched.acquire(id);
-                    let mut clock = SimClock::new(cost);
-                    if tracing {
-                        clock.enable_trace();
-                    }
-                    let mut proc = Proc::new(
-                        id,
-                        grid,
-                        clock,
-                        txs,
-                        rx,
-                        timeout,
-                        plan,
-                        obs,
-                        Arc::clone(&sched),
-                    );
+                    let mut proc = self.new_proc(id, txs, rx, &sched);
                     proc.attach_recovery(rec, resume);
-                    let (ac0, ab0) = crate::alloc_counter::thread_totals();
-                    let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                    let (ac1, ab1) = crate::alloc_counter::thread_totals();
-                    proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
-                    let outcome: Result<R, Failure> = match result {
-                        Ok(r) => match proc.finish_transport() {
-                            Ok(()) => {
-                                let leftover = proc.leftover_messages();
-                                if leftover > 0 {
-                                    Err((
-                                        MachineError::LeftoverMessages {
-                                            proc: id,
-                                            count: leftover,
-                                        },
-                                        None,
-                                    ))
-                                } else {
-                                    Ok(r)
-                                }
-                            }
-                            Err(e) => Err((e, None)),
-                        },
-                        Err(payload) => match payload.downcast::<MachineError>() {
-                            Ok(e) => Err((*e, None)),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
-                            }
-                        },
-                    };
-                    let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
-                    let trace = clock.take_trace();
+                    let outcome = drive(&mut proc, program);
+                    let (out, rx) = harvest(proc, outcome);
                     // Release the run permit strictly before reporting: by
                     // the time the driver sees this message (and possibly
                     // respawns this processor), the scheduler slot is free.
                     sched.finish(id);
-                    let _ = done.send((
-                        id,
-                        outcome
-                            .map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall)),
-                        rx,
-                    ));
+                    let _ = done.send((id, out, rx));
                 });
             };
             for (id, rx) in rxs.into_iter().enumerate() {
@@ -460,7 +393,7 @@ impl Machine {
                         pending -= 1;
                     }
                     Ok(ok) => {
-                        out[id] = Some(Ok(ok));
+                        out[id] = Some(ok);
                         parked_rxs.push(rx);
                         pending -= 1;
                     }
@@ -472,35 +405,10 @@ impl Machine {
             let idx = pick_primary(&failures);
             return Err(failures.swap_remove(idx).1 .0);
         }
-        let mut results = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        let mut comm = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
-        let mut metrics = Vec::with_capacity(p);
-        let mut wall = Vec::with_capacity(p);
-        for slot in out {
-            match slot.expect("every processor completed") {
-                Ok((r, c, trace, comm_row, evs, snap, wp)) => {
-                    results.push(r);
-                    clocks.push(c);
-                    traces.push(trace);
-                    comm.push(comm_row);
-                    events.push(evs);
-                    metrics.push(snap);
-                    wall.push(wp);
-                }
-                Err(_) => unreachable!("failures were returned above"),
-            }
-        }
-        let mut run = RunOutput::new(results, clocks);
-        run.traces = traces;
-        run.comm_matrix = comm;
-        run.events = events;
-        run.metrics = metrics;
-        if self.wall_profiling {
-            run.wall_profiles = wall;
-        }
+        let outs = out
+            .into_iter()
+            .map(|slot| slot.expect("every processor completed"));
+        let mut run = assemble(outs, self.wall_profiling);
         run.recovery = Some(rec.stats());
         Ok(run)
     }
@@ -515,81 +423,18 @@ impl Machine {
         install_quiet_machine_error_hook();
         let p = self.nprocs();
         let (txs, rxs, sched) = self.build_fabric();
-
-        type ProcOk<R> = (
-            R,
-            crate::cost::ClockReport,
-            Vec<crate::trace::Span>,
-            Vec<u64>,
-            Vec<crate::obs::Event>,
-            crate::obs::MetricsSnapshot,
-            crate::obs::WallProfile,
-        );
-        let mut out: Vec<Option<Result<ProcOk<R>, Failure>>> = (0..p).map(|_| None).collect();
+        let mut out: Vec<Option<Result<ProcOut<R>, Failure>>> = (0..p).map(|_| None).collect();
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(p);
             for (id, rx) in rxs.into_iter().enumerate() {
                 let txs = &txs;
-                let grid = &self.grid;
-                let cost = self.cost;
                 let program = &program;
-                let timeout = self.recv_timeout;
-                let tracing = self.tracing;
-                let obs = crate::obs::ObsConfig {
-                    events: self.tracing,
-                    metrics: self.metrics,
-                    wall: self.wall_profiling,
-                };
-                let plan = self.faults.clone();
                 let sched = Arc::clone(&sched);
                 handles.push(spawn_carrier(scope, p, move || {
                     sched.acquire(id);
-                    let mut clock = SimClock::new(cost);
-                    if tracing {
-                        clock.enable_trace();
-                    }
-                    let mut proc = Proc::new(
-                        id,
-                        grid,
-                        clock,
-                        txs,
-                        rx,
-                        timeout,
-                        plan,
-                        obs,
-                        Arc::clone(&sched),
-                    );
-                    let (ac0, ab0) = crate::alloc_counter::thread_totals();
-                    let result = catch_unwind(AssertUnwindSafe(|| program(&mut proc)));
-                    let (ac1, ab1) = crate::alloc_counter::thread_totals();
-                    proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
-                    let outcome: Result<R, Failure> = match result {
-                        Ok(r) => match proc.finish_transport() {
-                            Ok(()) => {
-                                let leftover = proc.leftover_messages();
-                                if leftover > 0 {
-                                    Err((
-                                        MachineError::LeftoverMessages {
-                                            proc: id,
-                                            count: leftover,
-                                        },
-                                        None,
-                                    ))
-                                } else {
-                                    Ok(r)
-                                }
-                            }
-                            Err(e) => Err((e, None)),
-                        },
-                        Err(payload) => match payload.downcast::<MachineError>() {
-                            Ok(e) => Err((*e, None)),
-                            Err(payload) => {
-                                let msg = panic_message(payload.as_ref());
-                                Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
-                            }
-                        },
-                    };
+                    let mut proc = self.new_proc(id, txs, rx, &sched);
+                    let outcome = drive(&mut proc, program);
                     // Retire from the scheduler on success and failure alike
                     // — a permit leak would wedge every still-running peer.
                     // Before the poison broadcast, so the woken peers find a
@@ -605,13 +450,7 @@ impl Machine {
                             }
                         }
                     }
-                    let (mut clock, comm_row, rx, events, metrics, wall) = proc.into_parts();
-                    let trace = clock.take_trace();
-                    (
-                        outcome
-                            .map(|r| (r, clock.report(), trace, comm_row, events, metrics, wall)),
-                        rx,
-                    )
+                    harvest(proc, outcome)
                 }));
             }
             // Receiver endpoints come back from each joined thread and are
@@ -625,41 +464,139 @@ impl Machine {
             }
         });
 
-        let mut results = Vec::with_capacity(p);
-        let mut clocks = Vec::with_capacity(p);
-        let mut traces = Vec::with_capacity(p);
-        let mut comm = Vec::with_capacity(p);
-        let mut events = Vec::with_capacity(p);
-        let mut metrics = Vec::with_capacity(p);
-        let mut wall = Vec::with_capacity(p);
+        let mut outs = Vec::with_capacity(p);
         let mut failures = Vec::new();
         for (id, slot) in out.into_iter().enumerate() {
             match slot.expect("every processor joined") {
-                Ok((r, c, trace, comm_row, evs, snap, wp)) => {
-                    results.push(r);
-                    clocks.push(c);
-                    traces.push(trace);
-                    comm.push(comm_row);
-                    events.push(evs);
-                    metrics.push(snap);
-                    wall.push(wp);
-                }
+                Ok(o) => outs.push(o),
                 Err(failure) => failures.push((id, failure)),
             }
         }
         if !failures.is_empty() {
             return Err(failures);
         }
-        let mut run = RunOutput::new(results, clocks);
-        run.traces = traces;
-        run.comm_matrix = comm;
-        run.events = events;
-        run.metrics = metrics;
-        if self.wall_profiling {
-            run.wall_profiles = wall;
-        }
-        Ok(run)
+        Ok(assemble(outs.into_iter(), self.wall_profiling))
     }
+
+    /// A fresh processor `id` over this machine's configuration, wired to
+    /// its channel endpoint and the run's scheduler.
+    fn new_proc<'a>(
+        &'a self,
+        id: usize,
+        txs: &'a [FrameSender],
+        rx: FrameReceiver,
+        sched: &Arc<Scheduler>,
+    ) -> Proc<'a> {
+        let mut clock = SimClock::new(self.cost);
+        if self.tracing {
+            clock.enable_trace();
+        }
+        let obs = crate::obs::ObsConfig {
+            events: self.tracing,
+            metrics: self.metrics,
+            wall: self.wall_profiling,
+        };
+        Proc::new(
+            id,
+            &self.grid,
+            clock,
+            txs,
+            rx,
+            self.recv_timeout,
+            self.faults.clone(),
+            obs,
+            Arc::clone(sched),
+        )
+    }
+}
+
+/// What one processor hands back to the driver when its program succeeds.
+struct ProcOut<R> {
+    result: R,
+    clock: ClockReport,
+    trace: Vec<Span>,
+    comm_row: Vec<u64>,
+    events: Vec<Event>,
+    metrics: MetricsSnapshot,
+    wall: WallProfile,
+    sched: SchedStats,
+}
+
+/// Run `program` on `proc` to completion: the closure under
+/// `catch_unwind`, then the transport flush and the leftover-message
+/// check. Machine errors raised as panics come back typed; program panics
+/// keep their original payload.
+fn drive<R, F>(proc: &mut Proc, program: &F) -> Result<R, Failure>
+where
+    F: Fn(&mut Proc) -> R,
+{
+    let (ac0, ab0) = crate::alloc_counter::thread_totals();
+    let result = catch_unwind(AssertUnwindSafe(|| program(proc)));
+    let (ac1, ab1) = crate::alloc_counter::thread_totals();
+    proc.note_alloc_totals(ac1 - ac0, ab1 - ab0);
+    let id = proc.id();
+    match result {
+        Ok(r) => {
+            proc.finish_transport().map_err(|e| (e, None))?;
+            match proc.leftover_messages() {
+                0 => Ok(r),
+                count => Err((MachineError::LeftoverMessages { proc: id, count }, None)),
+            }
+        }
+        Err(payload) => match payload.downcast::<MachineError>() {
+            Ok(e) => Err((*e, None)),
+            Err(payload) => {
+                let msg = panic_message(payload.as_ref());
+                Err((MachineError::ProcPanicked { proc: id, msg }, Some(payload)))
+            }
+        },
+    }
+}
+
+/// Tear `proc` down into its output (when `outcome` succeeded) and its
+/// channel endpoint, which the driver keeps alive until every carrier has
+/// joined.
+fn harvest<R>(
+    proc: Proc,
+    outcome: Result<R, Failure>,
+) -> (Result<ProcOut<R>, Failure>, FrameReceiver) {
+    let (mut clock, comm_row, rx, events, metrics, wall, sched) = proc.into_parts();
+    let trace = clock.take_trace();
+    let out = outcome.map(|result| ProcOut {
+        result,
+        clock: clock.report(),
+        trace,
+        comm_row,
+        events,
+        metrics,
+        wall,
+        sched,
+    });
+    (out, rx)
+}
+
+/// Assemble successful per-processor outputs, in processor order, into a
+/// run. Wall profiles are kept only when profiling was on, so wall data
+/// never leaks into unprofiled runs.
+fn assemble<R>(
+    outs: impl ExactSizeIterator<Item = ProcOut<R>>,
+    wall_profiling: bool,
+) -> RunOutput<R> {
+    let p = outs.len();
+    let mut run = RunOutput::new(Vec::with_capacity(p), Vec::with_capacity(p));
+    for o in outs {
+        run.results.push(o.result);
+        run.clocks.push(o.clock);
+        run.traces.push(o.trace);
+        run.comm_matrix.push(o.comm_row);
+        run.events.push(o.events);
+        run.metrics.push(o.metrics);
+        if wall_profiling {
+            run.wall_profiles.push(o.wall);
+        }
+        run.sched.push(o.sched);
+    }
+    run
 }
 
 /// Machine-level failures travel as `panic_any(MachineError)` so they can

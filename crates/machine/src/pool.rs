@@ -148,9 +148,11 @@ impl<B: Reusable> PoolSlot<B> {
         );
         *st = SlotState::Free(buf);
         drop(st);
-        let waker = self.waker.lock().unwrap().clone();
-        if let Some((sched, owner)) = waker {
-            sched.unpark(owner);
+        // Unpark under the waker lock: once the owner's `set_waker(None)`
+        // returns, no wake from this slot is still in flight to land in
+        // one of the owner's later, unrelated parks.
+        if let Some((sched, owner)) = &*self.waker.lock().unwrap() {
+            sched.unpark(*owner);
         }
     }
 }

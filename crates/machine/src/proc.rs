@@ -25,7 +25,7 @@ use crate::obs::{
 use crate::pool::{BufferPool, PoolSlot, Reusable};
 use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::Transport;
-use crate::sched::Scheduler;
+use crate::sched::{ParkOutcome, SchedStats, Scheduler};
 use crate::topology::ProcGrid;
 
 /// Cap on the per-processor packet-scratch pre-reserve. Reserving a full
@@ -151,6 +151,8 @@ pub struct Proc<'m> {
     /// parks here instead of blocking or spinning, so a bounded pool can
     /// carry thousands of processors (see DESIGN.md §15).
     sched: Arc<Scheduler>,
+    /// This processor's scheduler event counts (wall-side only).
+    sched_stats: SchedStats,
     mailbox: Mailbox,
     recv_timeout: Duration,
     /// Reliable transport state; present iff the machine carries a
@@ -210,6 +212,7 @@ impl<'m> Proc<'m> {
             senders,
             rx,
             sched,
+            sched_stats: SchedStats::default(),
             mailbox: Mailbox::new(),
             recv_timeout,
             transport,
@@ -821,17 +824,19 @@ impl<'m> Proc<'m> {
     /// Park this virtual processor in the scheduler for at most `timeout`,
     /// keyed on the current simulated time (the deterministic wake-priority
     /// rule: among ready processors, the one furthest behind in simulated
-    /// time runs first). Woken early by any frame sent to this processor or
-    /// by a pool-slot return. The wait is attributed to the virtual
-    /// processor's own wall profile under `sched.park` — carrier threads
-    /// have no identity of their own.
-    fn park(&mut self, timeout: Duration) {
+    /// time runs first). Woken early by a frame sent to this processor (only
+    /// the awaited one when the channel's wait filter is armed) or by a
+    /// pool-slot return. The wait is attributed to the virtual processor's
+    /// own wall profile under `sched.park` — carrier threads have no
+    /// identity of their own.
+    fn park(&mut self, timeout: Duration) -> ParkOutcome {
         let key = self.clock.now_ns();
-        let sched = Arc::clone(&self.sched);
-        let id = self.id;
-        self.wall_span("sched.park", |_| {
-            sched.park(id, key, timeout);
-        });
+        let out = self.wall_span("sched.park", |p| p.sched.park(p.id, key, timeout));
+        match out {
+            ParkOutcome::Pending => self.sched_stats.token_short_circuits += 1,
+            ParkOutcome::Woken | ParkOutcome::TimedOut => self.sched_stats.parks_slept += 1,
+        }
+        out
     }
 
     /// How long a wait-for-frames park may sleep without starving the
@@ -839,7 +844,7 @@ impl<'m> Proc<'m> {
     /// park so [`crate::reliable::Transport::pump`] runs on time (this also
     /// bounds reordered-frame holdback, which retires through the same
     /// retransmit path). Fault-free machines sleep the full remainder —
-    /// every frame arrival unparks them.
+    /// the awaited frame's arrival unparks them.
     fn park_wait(&self, remaining: Duration) -> Duration {
         match self
             .transport
@@ -852,14 +857,23 @@ impl<'m> Proc<'m> {
     }
 
     /// The frame-dispatch receive loop shared by every receive flavour.
-    /// The deadline restarts whenever *any* frame arrives (progress), which
-    /// matches the fault-free semantics where each successfully received
-    /// packet restarted the timeout.
+    ///
+    /// The deadline restarts whenever the loop drains *any* frame
+    /// (progress). On a fault-free machine the park arms the channel's wait
+    /// filter, so unrelated frames queue without waking this processor and
+    /// restart the deadline only when it next drains — after the awaited
+    /// frame wakes it, or after the park times out. A timed-out park drains
+    /// whatever queued and parks again, so a receive whose message never
+    /// comes still fails with [`MachineError::RecvTimeout`], between one and
+    /// two timeouts after the last frame reached this processor. Under a
+    /// fault plan every frame wakes: sequenced frames need the transport's
+    /// ordering before anything can match.
     fn try_recv_packet(&mut self, src: usize, tag: u64) -> Result<Packet, MachineError> {
         if let Some(p) = self.mailbox.take(src, tag) {
             return Ok(p);
         }
         let mut deadline = Instant::now() + self.recv_timeout;
+        let mut woken = false;
         loop {
             if let Some(t) = self.transport.as_mut() {
                 t.pump(self.id, self.senders)?;
@@ -883,12 +897,18 @@ impl<'m> Proc<'m> {
                             timeout: self.recv_timeout,
                         });
                     }
-                    // A frame enqueued between the probe above and this park
-                    // is covered by the scheduler's wake token: the sender's
-                    // unpark lands while we still run, and the park returns
-                    // immediately instead of sleeping.
+                    // Arming refuses if a frame slipped in since the probe
+                    // (drain it instead); an awaited frame enqueued between
+                    // the arm and the park is covered by the scheduler's
+                    // wake token, and the park returns immediately.
+                    if self.transport.is_none() && !self.rx.arm(src, tag) {
+                        continue;
+                    }
+                    if woken {
+                        self.sched_stats.mismatched_wakes += 1;
+                    }
                     let wait = self.park_wait(deadline - now);
-                    self.park(wait);
+                    woken = self.park(wait) == ParkOutcome::Woken;
                 }
             }
         }
@@ -1333,6 +1353,7 @@ impl<'m> Proc<'m> {
         Vec<Event>,
         MetricsSnapshot,
         WallProfile,
+        SchedStats,
     ) {
         self.drain_transport_events();
         if let Some(t) = self.transport.as_ref() {
@@ -1349,7 +1370,15 @@ impl<'m> Proc<'m> {
             .take()
             .map(WallProfiler::finish)
             .unwrap_or_default();
-        (self.clock, self.words_to, self.rx, events, metrics, wall)
+        (
+            self.clock,
+            self.words_to,
+            self.rx,
+            events,
+            metrics,
+            wall,
+            self.sched_stats,
+        )
     }
 
     /// Charged words this processor has sent to each destination so far

@@ -5,6 +5,7 @@
 use crate::cost::{Category, ClockReport};
 use crate::obs::{Event, MetricsSnapshot, WallProfile};
 use crate::recovery::RecoveryStats;
+use crate::sched::SchedStats;
 
 /// Everything a [`crate::Machine::run`] call produced: per-processor results
 /// and per-processor clock reports, both indexed by processor id.
@@ -34,6 +35,9 @@ pub struct RunOutput<R> {
     /// was built with [`crate::Machine::with_wall_profiling`] — wall data
     /// never leaks into unprofiled runs).
     pub wall_profiles: Vec<WallProfile>,
+    /// Per-processor host-side scheduler event counts (wall-side: they
+    /// depend on the interleaving; see [`RunOutput::sched_stats`]).
+    pub sched: Vec<SchedStats>,
 }
 
 impl<R> RunOutput<R> {
@@ -47,7 +51,18 @@ impl<R> RunOutput<R> {
             metrics: Vec::new(),
             recovery: None,
             wall_profiles: Vec::new(),
+            sched: Vec::new(),
         }
+    }
+
+    /// The run's scheduler event counts summed over processors: parks that
+    /// slept, wake-token short-circuits, and mismatched receive wakes.
+    pub fn sched_stats(&self) -> SchedStats {
+        let mut total = SchedStats::default();
+        for s in &self.sched {
+            total += *s;
+        }
+        total
     }
 
     /// The heaviest single source→destination flow, as
@@ -205,6 +220,7 @@ impl<R> RunOutput<R> {
             metrics: self.metrics.clone(),
             recovery: self.recovery.clone(),
             wall_profiles: self.wall_profiles.clone(),
+            sched: self.sched.clone(),
         }
     }
 }

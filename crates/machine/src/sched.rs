@@ -26,6 +26,25 @@
 //! releasing its permit. All state transitions happen under one mutex, so
 //! the token handshake needs no memory-ordering subtlety.
 //!
+//! Frame senders do not unpark on every frame. A processor about to park
+//! in a receive arms a wait filter for the `(src, tag)` it wants in its
+//! frame channel, and senders unpark it only for a frame that can end the
+//! wait (see [`crate::chan`] for the protocol and its race argument). The
+//! wake token above is what makes that filter race-free: a matching frame
+//! enqueued after the arm but before the park unparks a still-running
+//! processor, and the park returns at once. Since unrelated frames no
+//! longer wake a parked receiver, the receive timeout's "any frame
+//! restarts the deadline" rule applies when the receiver next drains: a
+//! timed-out park drains what queued, each drained frame restarts the
+//! deadline, and the receive parks again — a message that never comes
+//! still times out, between one and two timeouts after the last frame.
+//!
+//! Each processor counts its own scheduler events in a [`SchedStats`]
+//! (plain fields on the `Proc`, no shared atomics), summed into
+//! [`crate::RunOutput::sched_stats`]: parks that slept, parks a wake token
+//! short-circuited, and mismatched wakes — a wake after which the receive
+//! probe found nothing it waited for and parked again.
+//!
 //! Parks carry wall-clock deadlines: the existing no-hang guarantees
 //! (receive timeouts, reliable-transport retransmissions, pool-checkout
 //! stall detection) survive verbatim, re-expressed as scheduler deadlines
@@ -41,12 +60,39 @@ use std::time::{Duration, Instant};
 /// Why [`Scheduler::park`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum ParkOutcome {
-    /// An unpark arrived (or was already pending as a wake token). The
-    /// caller should re-probe whatever it was waiting for.
+    /// A wake token was already pending: the park returned at once without
+    /// releasing the permit. The caller should re-probe.
+    Pending,
+    /// The processor slept and an unpark woke it. The caller should
+    /// re-probe whatever it was waiting for.
     Woken,
     /// The wall-clock timeout expired first. The processor has already
     /// reacquired a run permit; the caller owns its own deadline logic.
     TimedOut,
+}
+
+/// Host-side scheduler event counts for one processor (or, summed, a
+/// run). Wall-side observables: they depend on the interleaving and never
+/// touch simulated clocks.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedStats {
+    /// Parks that released the run permit (woken or timed out).
+    pub parks_slept: u64,
+    /// Parks that a pending wake token short-circuited: no permit
+    /// released, no sleep.
+    pub token_short_circuits: u64,
+    /// Receive parks that were woken, drained the channel without finding
+    /// the awaited packet, and parked again. Zero on a fault-free machine,
+    /// where only the awaited frame wakes a parked receiver.
+    pub mismatched_wakes: u64,
+}
+
+impl std::ops::AddAssign for SchedStats {
+    fn add_assign(&mut self, o: SchedStats) {
+        self.parks_slept += o.parks_slept;
+        self.token_short_circuits += o.token_short_circuits;
+        self.mismatched_wakes += o.mismatched_wakes;
+    }
 }
 
 /// Task lifecycle. `Ready` tasks (and only they) have an entry in the
@@ -158,7 +204,7 @@ impl Scheduler {
         let mut g = self.inner.lock().unwrap();
         debug_assert_eq!(g.state[id], State::Running, "park from a non-running task");
         if std::mem::replace(&mut g.token[id], false) {
-            return ParkOutcome::Woken;
+            return ParkOutcome::Pending;
         }
         g.state[id] = State::Parked;
         g.key[id] = key_ns.max(0.0).to_bits();
@@ -264,7 +310,7 @@ mod tests {
         s.unpark(0);
         assert_eq!(
             s.park(0, 0.0, Duration::from_secs(5)),
-            ParkOutcome::Woken,
+            ParkOutcome::Pending,
             "a pending wake token short-circuits the park"
         );
         // A real park releases the permit to proc 2.

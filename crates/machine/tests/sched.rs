@@ -14,13 +14,18 @@
 //! and `mem.payload.cur`, whose final value depends on when the last
 //! Arc-shared packet copy drops at teardown), and histograms.
 
+use std::sync::Mutex;
+use std::thread::sleep;
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 
 use hpf_machine::collectives::{
     allreduce_sum, alltoallv, prefix_reduction_sum, A2aSchedule, PrsAlgorithm,
 };
 use hpf_machine::{
-    tags, Category, CostModel, FaultPlan, Machine, PoolSlot, Proc, ProcGrid, RunOutput,
+    tags, Category, CostModel, FaultPlan, Machine, MachineError, PoolSlot, Proc, ProcGrid,
+    RunOutput,
 };
 
 /// Mixed workload touching every park point: ring traffic (frame receive),
@@ -255,6 +260,157 @@ fn p1024_smoke_is_identical_across_pool_sizes() {
     let b = build(ncores.max(2)).run(program);
     assert_eq!(a.results, b.results);
     assert_clocks_identical(&a, &b, "p1024");
+}
+
+/// Targeted wake-ups: on a fault-free machine a parked receiver is woken
+/// only by the frame it waits for. In a P=64 linear-permutation all-to-all
+/// every processor waits on its peers one at a time while frames from all
+/// of them land in arbitrary order, yet no wake is mismatched — and the
+/// run stays identical for pool sizes 1 and N.
+#[test]
+fn p64_alltoallv_has_no_mismatched_wakes() {
+    const P: usize = 64;
+    let program = |p: &mut Proc| {
+        let g = p.world();
+        let sends: Vec<Vec<i64>> = (0..P)
+            .map(|dst| vec![(p.id() * P + dst) as i64; 1 + dst % 3])
+            .collect();
+        alltoallv(p, &g, sends, A2aSchedule::LinearPermutation)
+    };
+    let build = |workers: usize| {
+        Machine::new(ProcGrid::line(P), CostModel::cm5())
+            .with_test_preset()
+            .with_workers(workers)
+    };
+    let a = build(1).run(program);
+    for (id, got) in a.results.iter().enumerate() {
+        for (src, v) in got.iter().enumerate() {
+            assert_eq!(v, &vec![(src * P + id) as i64; 1 + id % 3]);
+        }
+    }
+    let ncores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let b = build(ncores.max(2)).run(program);
+    assert_eq!(a.results, b.results);
+    assert_clocks_identical(&a, &b, "p64 alltoallv");
+    for (what, out) in [("workers=1", &a), ("workers=N", &b)] {
+        assert_eq!(out.sched.len(), P, "{what}: one count set per processor");
+        let st = out.sched_stats();
+        assert_eq!(st.mismatched_wakes, 0, "{what}: {st:?}");
+    }
+    // On one permit every receive that finds its peer unrun must park, so
+    // the zero above is measured, not vacuous.
+    assert!(a.sched_stats().parks_slept > 0);
+}
+
+/// Frames of noise processor 2 sends processor 0 in [`noisy_receiver`].
+const NOISE: u64 = 5;
+
+/// Processor 2 sends processor 0 `NOISE` frames 40 ms apart, recording
+/// when it sent the last one. With `awaited_after_ms`, processor 1 sends
+/// processor 0 one awaited frame after that delay, and processor 0 waits
+/// for it before taking the noise.
+fn noisy_receiver(
+    p: &mut Proc,
+    awaited_after_ms: Option<u64>,
+    last_noise: &Mutex<Option<Instant>>,
+) -> i32 {
+    match p.id() {
+        0 => {
+            let got = match awaited_after_ms {
+                Some(_) => p.recv::<Vec<i32>>(1, tags::USER + 99)[0],
+                None => 0,
+            };
+            for i in 0..NOISE {
+                let _: Vec<i32> = p.recv(2, tags::USER + i);
+            }
+            got
+        }
+        1 => {
+            if let Some(ms) = awaited_after_ms {
+                sleep(Duration::from_millis(ms));
+                p.send(0, tags::USER + 99, vec![7i32]);
+            }
+            0
+        }
+        _ => {
+            for i in 0..NOISE {
+                sleep(Duration::from_millis(40));
+                p.send(0, tags::USER + i, vec![i as i32]);
+                *last_noise.lock().unwrap() = Some(Instant::now());
+            }
+            0
+        }
+    }
+}
+
+/// A receive whose message never comes still times out while unrelated
+/// frames keep arriving. They do not wake the parked receiver; it drains
+/// them when its park times out, and each drained frame restarts the
+/// deadline, so the error fires at least one timeout after the last frame
+/// arrived (and at most about two).
+#[test]
+fn recv_timeout_fires_while_unrelated_frames_arrive() {
+    const TIMEOUT: Duration = Duration::from_millis(150);
+    let last_noise = Mutex::new(None);
+    let out = Machine::new(ProcGrid::line(3), CostModel::cm5())
+        .with_recv_timeout(TIMEOUT)
+        .with_workers(3)
+        .run(|p| {
+            if p.id() != 0 {
+                return noisy_receiver(p, None, &last_noise);
+            }
+            let err = p
+                .try_recv::<Vec<i32>>(1, tags::USER + 99)
+                .expect_err("nothing is ever sent under this tag");
+            let failed_at = Instant::now();
+            assert!(
+                matches!(
+                    err,
+                    MachineError::RecvTimeout { proc: 0, src: 1, tag, .. } if tag == tags::USER + 99
+                ),
+                "{err:?}"
+            );
+            let last = last_noise.lock().unwrap().expect("noise was sent");
+            let after_last = failed_at.duration_since(last);
+            assert!(
+                after_last >= TIMEOUT,
+                "fired {after_last:?} after the last frame"
+            );
+            assert!(
+                after_last < 10 * TIMEOUT,
+                "fired {after_last:?} after the last frame"
+            );
+            noisy_receiver(p, None, &last_noise)
+        });
+    assert_eq!(out.results, vec![0; 3]);
+    assert_eq!(out.sched[0].mismatched_wakes, 0, "noise must not wake");
+}
+
+/// Under a fault plan frames are sequenced by the reliable transport, so a
+/// receive cannot filter on `(src, tag)` and wakes on every frame: the
+/// noisy program that shows no mismatched wake fault-free shows them under
+/// a duplicating plan, with the same results.
+#[test]
+fn fault_plan_receives_wake_on_every_frame() {
+    let last_noise = Mutex::new(None);
+    let awaited_after_ms = Some(40 * NOISE + 100);
+    let build = || {
+        Machine::new(ProcGrid::line(3), CostModel::cm5())
+            .with_test_preset()
+            .with_workers(3)
+    };
+    let clean = build().run(|p| noisy_receiver(p, awaited_after_ms, &last_noise));
+    let faulty = build()
+        .with_faults(FaultPlan::new(1).with_duplicate(0.5))
+        .run(|p| noisy_receiver(p, awaited_after_ms, &last_noise));
+    assert_eq!(clean.results, vec![7, 0, 0]);
+    assert_eq!(clean.results, faulty.results);
+    assert_eq!(clean.sched[0].mismatched_wakes, 0, "{:?}", clean.sched[0]);
+    assert!(
+        faulty.sched[0].mismatched_wakes >= 1,
+        "every frame wakes under a fault plan: {:?}",
+        faulty.sched[0]
+    );
 }
 
 fn any_algo() -> impl Strategy<Value = PrsAlgorithm> {
