@@ -34,15 +34,20 @@
 //! The race argument is short. Arming and enqueuing are serialized by the
 //! queue lock, and arming refuses when a frame is already queued — so a
 //! frame is either visible to the receiver's drain or judged against the
-//! armed filter, never lost between the two. The sender calls
-//! [`Scheduler::unpark`] before releasing the queue lock (lock order:
-//! channel queue, then scheduler; the scheduler never takes a channel
-//! lock). So a wake lands before the receiver can probe or arm again: a
-//! wake meant for the armed filter that lands before the receiver reaches
-//! its park sets the scheduler's wake token, and the park returns at once;
-//! a wake decided while no filter was armed can never reach a later park
-//! it was not meant for — at worst it leaves a token that a park consumes
-//! without sleeping.
+//! armed filter, never lost between the two. The sender *decides*
+//! the wake — [`Scheduler::unpark`], which moves a parked receiver to the
+//! ready queue or sets its wake token — before releasing the queue lock
+//! (lock order: channel queue, then scheduler; the scheduler never takes a
+//! channel lock), and *delivers* the OS wake-up only after releasing it. So
+//! every decision is made before the receiver can probe or arm again: a
+//! wake meant for the armed filter that is decided before the receiver
+//! reaches its park sets the scheduler's wake token, and the park returns
+//! at once; a wake decided while no filter was armed can never reach a
+//! later park it was not meant for — at worst it leaves a token that a
+//! park consumes without sleeping. The argument rests on when the decision
+//! is made, not on when the OS wake-up lands: a parked carrier returns
+//! only once its grant flag is set, so a late OS wake-up that reaches a
+//! later park just sends it round its wait loop once more.
 //!
 //! Receive timeouts see the filter only indirectly: unrelated frames queue
 //! without waking the receiver, so they restart its deadline when it next
@@ -164,12 +169,16 @@ impl FrameSender {
             _ => true,
         };
         inbox.frames.push_back(frame);
-        if wake {
-            // Still under the queue lock, so the wake lands before the
-            // receiver can probe or arm again (see the module docs).
-            if let Some((sched, dst)) = self.shared.waker.get() {
-                sched.unpark(*dst);
-            }
+        // Decide the wake under the queue lock, so it is made before the
+        // receiver can probe or arm again; wake its carrier after the lock
+        // is released (see the module docs).
+        let wakeups = match self.shared.waker.get() {
+            Some((sched, dst)) if wake => Some(sched.unpark(*dst)),
+            _ => None,
+        };
+        drop(inbox);
+        if let Some(w) = wakeups {
+            w.deliver();
         }
     }
 }

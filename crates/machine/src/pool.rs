@@ -148,11 +148,16 @@ impl<B: Reusable> PoolSlot<B> {
         );
         *st = SlotState::Free(buf);
         drop(st);
-        // Unpark under the waker lock: once the owner's `set_waker(None)`
-        // returns, no wake from this slot is still in flight to land in
-        // one of the owner's later, unrelated parks.
-        if let Some((sched, owner)) = &*self.waker.lock().unwrap() {
-            sched.unpark(*owner);
+        // Decide the wake under the waker lock: once the owner's
+        // `set_waker(None)` returns, no wake from this slot is still
+        // undecided, so none can ready one of the owner's later, unrelated
+        // parks. The OS wake-up is delivered after the lock is released; a
+        // late one only sends a later park round its wait loop again.
+        let waker = self.waker.lock().unwrap();
+        let wakeups = waker.as_ref().map(|(sched, owner)| sched.unpark(*owner));
+        drop(waker);
+        if let Some(w) = wakeups {
+            w.deliver();
         }
     }
 }

@@ -35,6 +35,17 @@ use crate::topology::ProcGrid;
 /// steady-state zero-allocation window begins.
 const PKT_SCRATCH_RESERVE: usize = 256;
 
+/// Where a processor parks, counted per cause in [`SchedStats`].
+#[derive(Clone, Copy)]
+enum ParkCause {
+    /// A receive waiting for a frame.
+    Recv,
+    /// Buffer-pool back-pressure waiting for a returned send buffer.
+    Pool,
+    /// The reliable transport's flush waiting for acks.
+    Flush,
+}
+
 /// Tag namespaces. Each collective type uses its own tag so that a program
 /// error (processors disagreeing about which collective comes next) fails
 /// loudly as a downcast/hang instead of silently mixing payloads. Within one
@@ -829,12 +840,20 @@ impl<'m> Proc<'m> {
     /// pool-slot return. The wait is attributed to the virtual processor's
     /// own wall profile under `sched.park` — carrier threads have no
     /// identity of their own.
-    fn park(&mut self, timeout: Duration) -> ParkOutcome {
+    fn park(&mut self, cause: ParkCause, timeout: Duration) -> ParkOutcome {
         let key = self.clock.now_ns();
         let out = self.wall_span("sched.park", |p| p.sched.park(p.id, key, timeout));
+        let st = &mut self.sched_stats;
         match out {
-            ParkOutcome::Pending => self.sched_stats.token_short_circuits += 1,
-            ParkOutcome::Woken | ParkOutcome::TimedOut => self.sched_stats.parks_slept += 1,
+            ParkOutcome::Pending => st.token_short_circuits += 1,
+            ParkOutcome::Woken | ParkOutcome::TimedOut => {
+                st.parks_slept += 1;
+                *match cause {
+                    ParkCause::Recv => &mut st.recv_parks_slept,
+                    ParkCause::Pool => &mut st.pool_parks_slept,
+                    ParkCause::Flush => &mut st.flush_parks_slept,
+                } += 1;
+            }
         }
         out
     }
@@ -908,7 +927,7 @@ impl<'m> Proc<'m> {
                         self.sched_stats.mismatched_wakes += 1;
                     }
                     let wait = self.park_wait(deadline - now);
-                    woken = self.park(wait) == ParkOutcome::Woken;
+                    woken = self.park(ParkCause::Recv, wait) == ParkOutcome::Woken;
                 }
             }
         }
@@ -1316,7 +1335,7 @@ impl<'m> Proc<'m> {
                     // retransmission is due (missing acks are exactly what
                     // the retry deadline tracks, so this never oversleeps).
                     let wait = self.park_wait(deadline - now);
-                    self.park(wait);
+                    self.park(ParkCause::Flush, wait);
                 }
             }
             if Instant::now() >= deadline {
@@ -1451,7 +1470,7 @@ impl<'m> Proc<'m> {
                 );
             }
             let wait = self.park_wait(deadline - now);
-            self.park(wait);
+            self.park(ParkCause::Pool, wait);
         }
     }
 

@@ -56,7 +56,8 @@ impl<R> RunOutput<R> {
     }
 
     /// The run's scheduler event counts summed over processors: parks that
-    /// slept, wake-token short-circuits, and mismatched receive wakes.
+    /// slept (in total and by cause), wake-token short-circuits, and
+    /// mismatched receive wakes.
     pub fn sched_stats(&self) -> SchedStats {
         let mut total = SchedStats::default();
         for s in &self.sched {

@@ -193,6 +193,57 @@ fn pool_backpressure_parks_under_a_single_permit() {
     assert_eq!(out.results, vec![0, 21]);
 }
 
+/// Slept parks split by cause, and the three causes add up to the total.
+/// On one permit under a duplicating fault plan (so the reliable transport
+/// runs and must flush), the program below parks for all three: processor
+/// 0's third checkout of one pool entry waits for processor 1 to return a
+/// buffer, processor 1 then waits for the third pooled frame, and
+/// processor 0's flush at exit waits for processor 1's acks.
+#[test]
+fn slept_parks_by_cause_add_up_to_the_total() {
+    let out = Machine::new(ProcGrid::line(2), CostModel::cm5())
+        .with_test_preset()
+        .with_workers(1)
+        .with_faults(FaultPlan::new(1).with_duplicate(0.5))
+        .run(|p| {
+            let peer = 1 - p.id();
+            if p.id() == 1 {
+                let _: Vec<i64> = p.recv(peer, tags::USER);
+            }
+            let key = hpf_machine::fresh_pool_key();
+            if p.id() == 0 {
+                p.send(peer, tags::USER, vec![1i64]);
+                for i in 0..3u64 {
+                    let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, peer);
+                    buf.push(i as i64);
+                    slot.stash(buf);
+                    p.send_pooled(peer, tags::USER + 1 + i, &slot);
+                }
+            } else {
+                for i in 0..3u64 {
+                    let pkt = p.recv_packet(peer, tags::USER + 1 + i);
+                    let slot = pkt
+                        .data
+                        .downcast::<PoolSlot<Vec<i64>>>()
+                        .expect("pooled send delivers the slot");
+                    let buf = slot.take_staged();
+                    slot.put_back(buf);
+                }
+            }
+        });
+    let total = out.sched_stats();
+    for st in out.sched.iter().chain([&total]) {
+        assert_eq!(
+            st.recv_parks_slept + st.pool_parks_slept + st.flush_parks_slept,
+            st.parks_slept,
+            "{st:?}"
+        );
+    }
+    assert!(out.sched[1].recv_parks_slept > 0, "{:?}", out.sched[1]);
+    assert!(out.sched[0].pool_parks_slept > 0, "{:?}", out.sched[0]);
+    assert!(out.sched[0].flush_parks_slept > 0, "{:?}", out.sched[0]);
+}
+
 /// Crash recovery on a small pool: the respawned victim re-enrolls with
 /// the scheduler on a fresh carrier and the recovered run stays
 /// bit-identical, for a pool smaller than the machine.

@@ -29,14 +29,22 @@ echo "== kernel-identity gate (scalar-ref reference walkers, release) =="
 # change: bit-identical results and identical simulated accounting.
 cargo test -p hpf-core --release -q --features scalar-ref
 
-echo "== repository benchmark builds and runs (hostbench many_procs smoke) =="
+echo "== repository benchmark builds and runs (hostbench smoke, all workloads) =="
 # hostbench is a standalone package over the machine's public API, so a
 # library change can break it without any workspace test noticing. Build
-# it and run a short many_procs smoke: exit 0 means every op matched the
-# sequential oracle and the simulated metrics held.
+# it and run a short smoke of every workload: exit 0 means every op
+# matched the sequential oracle and the simulated metrics held.
+# oneshot_cyclic starts a fresh machine (16 carriers) every op, hundreds
+# per second, so a scheduler that loses a carrier's first grant hangs
+# there first.
 cargo build --release --offline --manifest-path hostbench/Cargo.toml
-cargo run --quiet --release --offline --manifest-path hostbench/Cargo.toml -- \
-  --workload many_procs --seed 1 --seconds 2 --trace 0
+for workload in many_procs oneshot_cyclic steady_block; do
+  cargo run --quiet --release --offline --manifest-path hostbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0
+done
+
+echo "== scheduler handoff layer bench (token ring smoke) =="
+cargo run -p hpf-bench --release --bin handoff -- --smoke
 
 echo "== fuzz smoke via the plan-then-execute path =="
 cargo run -p hpf-bench --release --bin fuzz -- --cases 40 --seed 1 --reuse-plans
