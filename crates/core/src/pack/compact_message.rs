@@ -108,21 +108,6 @@ pub(crate) fn ensure_shape<T: Wire + Default>(
     );
 }
 
-/// Fill a message from a route's run list and gather slots with the scalar
-/// reference walk — the crash-recovery (owned-buffer) path, and the oracle
-/// the lowered fill is checked against.
-pub(crate) fn fill_segments<T: Wire + Default>(
-    msg: &mut CmsMessage<T>,
-    runs: &[(u32, u32)],
-    slots: &[u32],
-    a_local: &[T],
-) {
-    ensure_shape(msg, runs, slots.len());
-    for (v, &s) in msg.vals.iter_mut().zip(slots) {
-        *v = a_local[s as usize];
-    }
-}
-
 /// The CMS plan-time composer: counter-array storage, run-compressed
 /// ranks, two operations per destination run (the segment header); the
 /// per-value work is all execute-time.
@@ -208,6 +193,15 @@ mod tests {
             vals: vec![9],
         };
         assert_eq!(msg.wire_words(), 3);
+    }
+
+    /// Shape `msg` to `runs` and gather `a[slots]` into it with the scalar
+    /// reference walk.
+    fn fill_segments(msg: &mut CmsMessage<i32>, runs: &[(u32, u32)], slots: &[u32], a: &[i32]) {
+        ensure_shape(msg, runs, slots.len());
+        for (v, &s) in msg.vals.iter_mut().zip(slots) {
+            *v = a[s as usize];
+        }
     }
 
     #[test]

@@ -49,9 +49,7 @@ pub use cache::PlanCache;
 pub use copyprog::CopyStats;
 
 use hpf_distarray::{ArrayDesc, DimLayout};
-use hpf_machine::collectives::{
-    alltoallv, alltoallv_planned, alltoallv_pooled, A2aPlan, A2aSchedule,
-};
+use hpf_machine::collectives::{alltoallv, alltoallv_pooled, A2aPlan, A2aSchedule};
 use hpf_machine::{fresh_pool_key, Category, MemAccount, Packet, PoolSlot, Proc, Reusable, Wire};
 
 use crate::error::{PackError, UnpackError};
@@ -251,22 +249,8 @@ impl PackPlan {
             return Ok(());
         }
         let layout = self.v_layout.expect("size > 0");
-        // Under crash recovery, pooled (in-place reused) send buffers are
-        // off limits: a replayed packet must keep sharing its original
-        // payload. The owned-buffer path below makes identical charges in
-        // identical spans, so the simulated accounting does not change —
-        // only the wall-clock allocation behaviour does.
-        let recovery = proc.recovery_enabled();
         proc.with_stage("pack.execute", |proc| {
             match self.scheme {
-                PackScheme::Simple | PackScheme::CompactStorage if recovery => {
-                    let sends = self.gather_pairs_owned(proc, a_local);
-                    let recvs = proc.with_category(Category::ManyToMany, |proc| {
-                        let world = proc.world();
-                        alltoallv_planned(proc, &world, sends, &self.a2a, self.schedule)
-                    });
-                    self.decode_pairs_owned(proc, &layout, &recvs, &mut out.local_v);
-                }
                 PackScheme::Simple | PackScheme::CompactStorage => {
                     self.gather_pairs(proc, a_local);
                     let mut recvs = proc.take_pkt_scratch();
@@ -281,14 +265,6 @@ impl PackPlan {
                     });
                     self.decode_pairs(proc, &layout, &mut recvs, &mut out.local_v);
                     proc.restore_pkt_scratch(recvs);
-                }
-                PackScheme::CompactMessage if recovery => {
-                    let sends = self.gather_segments_owned(proc, a_local);
-                    let recvs = proc.with_category(Category::ManyToMany, |proc| {
-                        let world = proc.world();
-                        alltoallv_planned(proc, &world, sends, &self.a2a, self.schedule)
-                    });
-                    self.decode_segments_owned(proc, &layout, &recvs, &mut out.local_v);
                 }
                 PackScheme::CompactMessage => {
                     self.gather_segments(proc, a_local);
@@ -398,109 +374,8 @@ impl PackPlan {
         })
     }
 
-    /// [`PackPlan::gather_pairs`] into owned per-destination buffers — the
-    /// crash-recovery path (same operations, same charge, fresh
-    /// allocations instead of pool slots, scalar-reference gather).
-    fn gather_pairs_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        a_local: &[T],
-    ) -> Vec<Vec<(u32, T)>> {
-        proc.with_category(Category::LocalComp, |proc| {
-            let mut moved = 0usize;
-            let mut sends: Vec<Vec<(u32, T)>> = vec![Vec::new(); proc.nprocs()];
-            for (dst, route) in self.routes.iter().enumerate() {
-                if route.slots.is_empty() {
-                    continue;
-                }
-                let RankList::Explicit(ranks) = &route.ranks else {
-                    unreachable!("pair schemes compose explicit ranks")
-                };
-                sends[dst] = ranks
-                    .iter()
-                    .zip(&route.slots)
-                    .map(|(&r, &s)| (r, a_local[s as usize]))
-                    .collect();
-                moved += ranks.len();
-            }
-            proc.charge_ops(moved);
-            sends
-        })
-    }
-
-    /// [`PackPlan::gather_segments`] into owned buffers — the crash-recovery
-    /// path (scalar-reference fill).
-    fn gather_segments_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        a_local: &[T],
-    ) -> Vec<CmsMessage<T>> {
-        proc.with_category(Category::LocalComp, |proc| {
-            let mut moved = 0usize;
-            let mut sends: Vec<CmsMessage<T>> =
-                (0..proc.nprocs()).map(|_| CmsMessage::default()).collect();
-            for (dst, route) in self.routes.iter().enumerate() {
-                if route.slots.is_empty() {
-                    continue;
-                }
-                let RankList::Runs(runs) = &route.ranks else {
-                    unreachable!("compact message composes runs")
-                };
-                compact_message::fill_segments(&mut sends[dst], runs, &route.slots, a_local);
-                moved += route.slots.len();
-            }
-            proc.charge_ops(moved);
-            sends
-        })
-    }
-
-    /// [`PackPlan::decode_pairs`] over owned receive buffers — the
-    /// crash-recovery path (identical `2·E_a` charge).
-    fn decode_pairs_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        layout: &DimLayout,
-        recvs: &[Vec<(u32, T)>],
-        out: &mut Vec<T>,
-    ) {
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            prepare_out(out, layout.local_len(me));
-            let mut placed = 0usize;
-            for (src, buf) in recvs.iter().enumerate() {
-                if src == me || self.a2a.from[src] {
-                    placed += place_pairs(layout, me, buf, out);
-                }
-            }
-            debug_assert_eq!(placed, out.len(), "pack decode must cover V exactly");
-            proc.charge_ops(2 * placed);
-        })
-    }
-
-    /// [`PackPlan::decode_segments`] over owned receive buffers — the
-    /// crash-recovery path (identical `E_a + 2·Gr_i` charge).
-    fn decode_segments_owned<T: Wire + Default>(
-        &self,
-        proc: &mut Proc,
-        layout: &DimLayout,
-        recvs: &[CmsMessage<T>],
-        out: &mut Vec<T>,
-    ) {
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            prepare_out(out, layout.local_len(me));
-            let mut ops = 0usize;
-            for (src, msg) in recvs.iter().enumerate() {
-                if src == me || self.a2a.from[src] {
-                    ops += compact_message::place_segments(layout, me, msg, out);
-                }
-            }
-            proc.charge_ops(ops);
-        })
-    }
-
     /// Decode pooled pair messages into `out` (Section 6.4.1: `2·E_a`),
-    /// returning each buffer to its sender's slot via [`decode_pooled`].
+    /// freeing each sender's slot via [`decode_pooled`].
     fn decode_pairs<T: Wire + Default>(
         &self,
         proc: &mut Proc,
@@ -527,8 +402,7 @@ impl PackPlan {
     }
 
     /// Decode pooled segment messages into `out` (Section 6.4.2:
-    /// `E_a + 2·Gr_i`), returning each buffer to its sender's slot via
-    /// [`decode_pooled`].
+    /// `E_a + 2·Gr_i`), freeing each sender's slot via [`decode_pooled`].
     fn decode_segments<T: Wire + Default>(
         &self,
         proc: &mut Proc,
@@ -583,12 +457,12 @@ fn prepare_out<T: Default + Clone>(out: &mut Vec<T>, local_len: usize) {
     }
 }
 
-/// The shared pooled-decode loop: take the self-staged buffer (it never
-/// crossed the wire), then every received packet's slot, run `place` over
-/// each, and return every buffer to its sender's slot. `place` gets the
-/// sending processor's id (this processor's own for the self slot) and
-/// returns whatever count it wants accumulated — placed values for pair
-/// decodes, model operations for segment decodes.
+/// The shared pooled-decode loop: decode the self-staged slot (it never
+/// crossed the wire), then every received packet's slot, in place with
+/// [`PoolSlot::decode`], which frees each slot for its sender's next
+/// checkout. `place` gets the sending processor's id (this processor's own
+/// for the self slot) and returns whatever count it wants accumulated —
+/// placed values for pair decodes, model operations for segment decodes.
 fn decode_pooled<B: Reusable, F>(
     proc: &mut Proc,
     pool_key: u64,
@@ -603,9 +477,7 @@ where
     let mut acc = 0usize;
     if self_staged {
         let slot = proc.pool_current::<B>(pool_key, me);
-        let buf = slot.take_staged();
-        acc += place(proc, me, &buf);
-        slot.put_back(buf);
+        acc += slot.decode(|buf| place(proc, me, buf));
     }
     for pkt in recvs.drain(..) {
         let src = pkt.src;
@@ -613,9 +485,7 @@ where
             .data
             .downcast::<PoolSlot<B>>()
             .expect("pooled exchange delivers pool slots");
-        let buf = slot.take_staged();
-        acc += place(proc, src, &buf);
-        slot.put_back(buf);
+        acc += slot.decode(|buf| place(proc, src, buf));
     }
     acc
 }
@@ -973,10 +843,6 @@ impl UnpackPlan {
                 got: v_local.len(),
             });
         }
-        // Pooled buffers are unavailable under crash recovery (replayed
-        // packets must keep sharing their original payloads); the owned
-        // path charges identically. See `PackPlan::execute_into`.
-        let recovery = proc.recovery_enabled();
         proc.with_stage("unpack.execute", |proc| {
             // Field copy: local computation for every unselected element
             // (the selected ones are overwritten below).
@@ -989,10 +855,6 @@ impl UnpackPlan {
                 })
             });
             if self.size == 0 {
-                return;
-            }
-            if recovery {
-                self.exchange_owned(proc, v_local, out);
                 return;
             }
             // Serve: fill each requester's pooled reply buffer along the
@@ -1039,8 +901,8 @@ impl UnpackPlan {
                 })
             });
             // Scatter the replies into A at the recorded element slots
-            // along the per-owner copy programs, returning each buffer to
-            // its sender's slot via the shared pooled-decode loop.
+            // along the per-owner copy programs, freeing each sender's slot
+            // via the shared pooled-decode loop.
             proc.wall_span("unpack.scatter", |proc| {
                 proc.with_category(Category::LocalComp, |proc| {
                     let me = proc.id();
@@ -1072,53 +934,6 @@ impl UnpackPlan {
         });
         Ok(())
     }
-
-    /// The serve → reply → scatter loop over owned buffers — the
-    /// crash-recovery path of [`UnpackPlan::execute_into`], all scalar
-    /// reference walks. Charges, spans, and wire words match the pooled
-    /// loop exactly.
-    fn exchange_owned<T: Wire + Default>(&self, proc: &mut Proc, v_local: &[T], out: &mut [T]) {
-        let sends = proc.with_category(Category::LocalComp, |proc| {
-            let mut ops = 0usize;
-            let mut sends: Vec<Vec<T>> = vec![Vec::new(); proc.nprocs()];
-            for (requester, idx) in self.serve_idx.iter().enumerate() {
-                if idx.is_empty() {
-                    continue;
-                }
-                sends[requester] = idx.iter().map(|&i| v_local[i as usize]).collect();
-                ops += idx.len();
-            }
-            proc.charge_ops(ops);
-            sends
-        });
-        let recvs = proc.with_stage("unpack.reply", |proc| {
-            proc.with_category(Category::ManyToMany, |proc| {
-                let world = proc.world();
-                alltoallv_planned(proc, &world, sends, &self.reply_a2a, self.schedule)
-            })
-        });
-        proc.with_category(Category::LocalComp, |proc| {
-            let me = proc.id();
-            let mut ops = 0usize;
-            for (owner, buf) in recvs.iter().enumerate() {
-                if owner == me || self.reply_a2a.from[owner] {
-                    ops += scatter_reply(&self.targets[owner], buf, out);
-                }
-            }
-            proc.charge_ops(ops);
-        });
-    }
-}
-
-/// Scatter one owner's reply values into the recorded element slots with
-/// the scalar reference walk (the crash-recovery path); returns the number
-/// of values scattered.
-fn scatter_reply<T: Wire>(slots: &[u32], values: &[T], out: &mut [T]) -> usize {
-    debug_assert_eq!(values.len(), slots.len(), "reply length mismatch");
-    for (&slot, &v) in slots.iter().zip(values) {
-        out[slot as usize] = v;
-    }
-    slots.len()
 }
 
 /// The scheme's plan-time composer for PACK (Section 6 storage schemes).

@@ -158,3 +158,43 @@ fn fault_free_execution_never_clones_payloads() {
         "fault-free run deep-copied a payload"
     );
 }
+
+/// A fault-free run outside crash recovery never grows a pool entry past
+/// its two slots: every checkout finds its rotation slot decoded (or parks
+/// until it is), so the `pool.slots_grown` counter stays zero for every
+/// PACK and UNPACK scheme.
+#[test]
+fn fault_free_execution_never_grows_pool_slots() {
+    let d = desc(1);
+    let pattern = mask();
+    let size = pattern.global(&[N]).data().iter().filter(|&&b| b).count();
+    let vl = DimLayout::new_general(size, P, size.div_ceil(P)).unwrap();
+    let (dr, vlr) = (&d, &vl);
+    let machine = Machine::new(ProcGrid::line(P), CostModel::cm5()).with_metrics(true);
+    let out = machine.run(move |proc| {
+        let m = local_from_fn(dr, proc.id(), |g| pattern.value(g, &[N]));
+        let a = local_from_fn(dr, proc.id(), |g| g[0] as i32);
+        let v: Vec<i32> = (0..vlr.local_len(proc.id()))
+            .map(|l| vlr.global_of(proc.id(), l) as i32)
+            .collect();
+        let mut packed = PackOutput {
+            local_v: Vec::new(),
+            size: 0,
+            v_layout: None,
+        };
+        let mut unpacked = Vec::new();
+        for scheme in PackScheme::ALL {
+            let plan = plan_pack(proc, dr, &m, &PackOptions::new(scheme)).unwrap();
+            for _ in 0..WARMUP + STEADY {
+                plan.execute_into(proc, &a, &mut packed).unwrap();
+            }
+        }
+        for scheme in UnpackScheme::ALL {
+            let plan = plan_unpack(proc, dr, &m, vlr, &UnpackOptions::new(scheme)).unwrap();
+            for _ in 0..WARMUP + STEADY {
+                plan.execute_into(proc, &a, &v, &mut unpacked).unwrap();
+            }
+        }
+    });
+    assert_eq!(out.merged_metrics().counter("pool.slots_grown"), 0);
+}

@@ -112,7 +112,7 @@ pub fn alltoallv<P: Payload + Default>(
 /// Which peers actually exchange data in a planned many-to-many: `to[j]`
 /// means this processor sends a (possibly empty) message to group rank `j`,
 /// `from[j]` means rank `j` sends one to us. Captured once at plan time so
-/// that [`alltoallv_planned`] can skip the send/recv rounds of silent pairs
+/// that [`alltoallv_pooled`] can skip the send/recv rounds of silent pairs
 /// entirely — the count-exchange a fresh `alltoallv` would implicitly redo
 /// every call.
 ///
@@ -177,117 +177,25 @@ impl Payload for FlagMsg {
     }
 }
 
-/// [`alltoallv`] with the pair population known in advance: rounds where
-/// neither direction moves data are skipped outright instead of exchanging
-/// empty padding messages. Delivery semantics are identical to
-/// [`alltoallv`]; slots whose flag is off come back as `P::default()`.
-///
-/// Under the cost model the padding messages were already free, so the
-/// simulated time matches the unplanned exchange — the savings are real
-/// messages, real synchronization, and the implicit per-call count knowledge
-/// that callers with a reusable plan (PACK/UNPACK execution) get for free.
-///
-/// # Panics
-/// Panics if `sends.len()`, `plan.to.len()`, or `plan.from.len()` disagree
-/// with the group size, or (in debug builds) if a send slot whose `to` flag
-/// is off carries wire words.
-pub fn alltoallv_planned<P: Payload + Default>(
-    proc: &mut Proc,
-    group: &Group,
-    mut sends: Vec<P>,
-    plan: &A2aPlan,
-    schedule: A2aSchedule,
-) -> Vec<P> {
-    let n = group.size();
-    assert_eq!(sends.len(), n, "one send buffer per group member required");
-    assert_eq!(plan.to.len(), n, "plan must cover the group");
-    assert_eq!(plan.from.len(), n, "plan must cover the group");
-    debug_assert!(
-        sends
-            .iter()
-            .enumerate()
-            .all(|(j, s)| plan.to[j] || s.wire_words() == 0),
-        "send slot flagged silent carries data"
-    );
-    let me = group.my_rank();
-
-    let mut recvs: Vec<P> = (0..n).map(|_| P::default()).collect();
-    recvs[me] = std::mem::take(&mut sends[me]);
-
-    proc.with_stage("a2a.planned", |proc| match schedule {
-        A2aSchedule::NaivePush => {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                if plan.to[dst] {
-                    proc.send(
-                        group.id_of(dst),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[dst]),
-                    );
-                }
-            }
-            for k in 1..n {
-                let src = (me + n - k) % n;
-                if plan.from[src] {
-                    recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-                }
-            }
-        }
-        A2aSchedule::PairwiseExchange if n.is_power_of_two() => {
-            for k in 1..n {
-                let partner = me ^ k;
-                if plan.to[partner] {
-                    proc.send(
-                        group.id_of(partner),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[partner]),
-                    );
-                }
-                if plan.from[partner] {
-                    recvs[partner] = proc.recv(group.id_of(partner), tags::ALLTOALL);
-                }
-            }
-        }
-        // Linear permutation, and the non-power-of-two pairwise fallback.
-        _ => {
-            for k in 1..n {
-                let dst = (me + k) % n;
-                let src = (me + n - k) % n;
-                if plan.round_is_silent(dst, src) {
-                    continue;
-                }
-                if plan.to[dst] {
-                    proc.send(
-                        group.id_of(dst),
-                        tags::ALLTOALL,
-                        std::mem::take(&mut sends[dst]),
-                    );
-                }
-                if plan.from[src] {
-                    recvs[src] = proc.recv(group.id_of(src), tags::ALLTOALL);
-                }
-            }
-        }
-    });
-    recvs
-}
-
-/// [`alltoallv_planned`] over pooled buffers: the allocation-free steady
-/// state of a cached plan's execute loop.
+/// [`alltoallv`] with the pair population known in advance, over pooled
+/// buffers: the allocation-free steady state of a cached plan's execute
+/// loop. Rounds where neither direction moves data are skipped outright
+/// instead of exchanging empty padding messages; under the cost model the
+/// padding was already free, so the simulated time matches the unplanned
+/// exchange — the savings are real messages, real synchronization, and the
+/// per-call count knowledge the plan already holds.
 ///
 /// The caller has already checked out, filled, and stashed the pool slot
 /// for every destination `dst` with `plan.to[dst]` — including its own rank,
 /// whose slot is never sent and is decoded in place (the uncharged
-/// self-move of the boxed variants). Received messages land in `out` as raw
+/// self-move of [`alltoallv`]). Received messages land in `out` as raw
 /// [`Packet`]s whose payload is the *sender's* `Arc<PoolSlot<B>>`; the
-/// decoder downcasts, takes the staged buffer, and returns it with
-/// [`crate::PoolSlot::put_back`] — which is what un-blocks the sender's next
-/// checkout.
+/// decoder downcasts and decodes the buffer in place with
+/// [`crate::PoolSlot::decode`] — which is what frees the sender's slot for
+/// its next checkout.
 ///
-/// Always runs over the world communicator (group rank = processor id),
-/// and mirrors [`alltoallv_planned`]'s send/recv order, stage span, and
-/// charges exactly: the simulated accounting of a pooled execute is
-/// bit-identical to the boxed path (see DESIGN.md §11).
+/// Always runs over the world communicator (group rank = processor id);
+/// the span is `a2a.planned` under every schedule (see DESIGN.md §11).
 pub fn alltoallv_pooled<B: Reusable>(
     proc: &mut Proc,
     plan: &A2aPlan,
@@ -314,8 +222,7 @@ pub fn alltoallv_pooled<B: Reusable>(
                 for k in 1..n {
                     let dst = (me + k) % n;
                     if plan.to[dst] {
-                        let slot = proc.pool_current::<B>(key, dst);
-                        proc.send_pooled(dst, tags::ALLTOALL, &slot);
+                        proc.send_pooled::<B>(dst, tags::ALLTOALL, key);
                     }
                 }
                 for k in 1..n {
@@ -329,8 +236,7 @@ pub fn alltoallv_pooled<B: Reusable>(
                 for k in 1..n {
                     let partner = me ^ k;
                     if plan.to[partner] {
-                        let slot = proc.pool_current::<B>(key, partner);
-                        proc.send_pooled(partner, tags::ALLTOALL, &slot);
+                        proc.send_pooled::<B>(partner, tags::ALLTOALL, key);
                     }
                     if plan.from[partner] {
                         recv_attributed(proc, partner, out);
@@ -346,8 +252,7 @@ pub fn alltoallv_pooled<B: Reusable>(
                         continue;
                     }
                     if plan.to[dst] {
-                        let slot = proc.pool_current::<B>(key, dst);
-                        proc.send_pooled(dst, tags::ALLTOALL, &slot);
+                        proc.send_pooled::<B>(dst, tags::ALLTOALL, key);
                     }
                     if plan.from[src] {
                         recv_attributed(proc, src, out);
@@ -500,7 +405,47 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::machine::Machine;
+    use crate::pool::{fresh_pool_key, PoolSlot};
     use crate::topology::ProcGrid;
+
+    /// Exchange `sends` (indexed by destination) the way a cached plan's
+    /// execute does: check out, fill, and stash a slot for every flagged
+    /// destination (this rank included), run [`alltoallv_pooled`], and
+    /// decode every delivered slot in place. Returns the payloads by
+    /// source; pairs the plan leaves silent come back empty.
+    fn pooled_exchange(
+        proc: &mut Proc,
+        plan: &A2aPlan,
+        schedule: A2aSchedule,
+        sends: Vec<Vec<i32>>,
+    ) -> Vec<Vec<i32>> {
+        let key = fresh_pool_key();
+        let me = proc.id();
+        for (dst, payload) in sends.into_iter().enumerate() {
+            if plan.to[dst] {
+                let (slot, mut buf) = proc.pool_checkout::<Vec<i32>>(key, dst);
+                buf.extend(payload);
+                slot.stash(buf);
+            } else {
+                assert!(payload.is_empty(), "send slot flagged silent carries data");
+            }
+        }
+        let mut pkts = Vec::new();
+        alltoallv_pooled::<Vec<i32>>(proc, plan, schedule, key, &mut pkts);
+        let mut recvs = vec![Vec::new(); proc.nprocs()];
+        if plan.to[me] {
+            recvs[me] = proc.pool_current::<Vec<i32>>(key, me).decode(Vec::clone);
+        }
+        for pkt in pkts {
+            let src = pkt.src;
+            let slot = pkt
+                .data
+                .downcast::<PoolSlot<Vec<i32>>>()
+                .expect("pooled exchange delivers pool slots");
+            recvs[src] = slot.decode(Vec::clone);
+        }
+        recvs
+    }
 
     fn run_exchange(p: usize, schedule: A2aSchedule) {
         let machine = Machine::new(ProcGrid::line(p), CostModel::zero());
@@ -600,8 +545,8 @@ mod tests {
         );
     }
 
-    /// Planned exchanges deliver the same payloads as plain `alltoallv`
-    /// over a sparse pattern (only ranks at even distance talk), for every
+    /// Planned (pooled) exchanges deliver the same payloads as plain
+    /// `alltoallv` over a sparse pattern (only ranks at even distance talk), for every
     /// schedule and an awkward mix of group sizes.
     #[test]
     fn planned_matches_unplanned_on_sparse_patterns() {
@@ -627,7 +572,7 @@ mod tests {
                     };
                     let to: Vec<bool> = build(proc.id()).iter().map(|s| !s.is_empty()).collect();
                     let plan = A2aPlan::exchange(proc, &g, to, schedule);
-                    let planned = alltoallv_planned(proc, &g, build(proc.id()), &plan, schedule);
+                    let planned = pooled_exchange(proc, &plan, schedule, build(proc.id()));
                     let plain = alltoallv(proc, &g, build(proc.id()), schedule);
                     (planned, plain)
                 });
@@ -654,7 +599,7 @@ mod tests {
             }
             let plan = A2aPlan::exchange(proc, &g, to.clone(), A2aSchedule::LinearPermutation);
             assert_eq!(plan.from.iter().filter(|&&f| f).count() > 0, proc.id() == 1);
-            alltoallv_planned(proc, &g, sends, &plan, A2aSchedule::LinearPermutation)
+            pooled_exchange(proc, &plan, A2aSchedule::LinearPermutation, sends)
         });
         assert_eq!(out.results[1][0], vec![7, 8, 9]);
         // Flag exchange: zero-word flags charge nothing. Planned rounds:
@@ -669,7 +614,6 @@ mod tests {
         let p = 4usize;
         let machine = Machine::new(ProcGrid::line(p), CostModel::cm5());
         let out = machine.run(move |proc| {
-            let g = proc.world();
             let me = proc.id();
             let to: Vec<bool> = (0..p).map(|j| me == 0 && j != 0).collect();
             let from: Vec<bool> = (0..p).map(|j| me != 0 && j == 0).collect();
@@ -683,7 +627,7 @@ mod tests {
                     }
                 })
                 .collect();
-            alltoallv_planned(proc, &g, sends, &plan, A2aSchedule::LinearPermutation)
+            pooled_exchange(proc, &plan, A2aSchedule::LinearPermutation, sends)
         });
         for (me, recvs) in out.results.iter().enumerate().skip(1) {
             assert_eq!(recvs[0], vec![me as i32 * 11]);
@@ -755,8 +699,7 @@ mod tests {
             let out = machine.run(move |proc| {
                 let g = proc.world();
                 let plan = A2aPlan::exchange(proc, &g, vec![false; p], schedule);
-                let recvs =
-                    alltoallv_planned(proc, &g, vec![Vec::<i32>::new(); p], &plan, schedule);
+                let recvs = pooled_exchange(proc, &plan, schedule, vec![Vec::new(); p]);
                 (plan.from, recvs)
             });
             assert_eq!(out.total_words_sent(), 0, "{schedule:?}");

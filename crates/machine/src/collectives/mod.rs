@@ -15,9 +15,7 @@ mod gather;
 mod reduce;
 mod scan;
 
-pub use alltoallv::{
-    alltoallv, alltoallv_planned, alltoallv_pooled, alltoallv_two_phase, A2aPlan, A2aSchedule,
-};
+pub use alltoallv::{alltoallv, alltoallv_pooled, alltoallv_two_phase, A2aPlan, A2aSchedule};
 pub use broadcast::broadcast;
 pub use gather::{allgather, gather_to_root, scatter_from_root};
 pub use reduce::{allreduce_sum, allreduce_with};

@@ -65,7 +65,7 @@ pub use obs::{
     folded_stacks, Event, EventKind, MemAccount, MetricsSnapshot, ObsConfig, WallProfile,
     WallProfiler, WallSpan,
 };
-pub use pool::{fresh_pool_key, BufferPool, PoolSlot, Reusable};
+pub use pool::{fresh_pool_key, PoolSlot, Reusable};
 pub use proc::{tags, Group, Proc};
 pub use recovery::{Checkpoint, RecoveryStats};
 pub use report::{Breakdown, RunOutput};

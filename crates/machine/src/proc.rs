@@ -22,7 +22,7 @@ use crate::obs::{
     Counter, Event, EventKind, Gauge, Histogram, MemAccount, MetricsSnapshot, ObsConfig, Registry,
     TransportEvent, WallProfile, WallProfiler,
 };
-use crate::pool::{BufferPool, PoolSlot, Reusable};
+use crate::pool::{BufferPool, Checkout, PoolSlot, Reusable};
 use crate::recovery::{Checkpoint, EpochSnapshot, RecoveryState, ResumeCtx};
 use crate::reliable::Transport;
 use crate::sched::{ParkOutcome, SchedStats, Scheduler};
@@ -40,7 +40,7 @@ const PKT_SCRATCH_RESERVE: usize = 256;
 enum ParkCause {
     /// A receive waiting for a frame.
     Recv,
-    /// Buffer-pool back-pressure waiting for a returned send buffer.
+    /// Buffer-pool back-pressure waiting for a send buffer's decode.
     Pool,
     /// The reliable transport's flush waiting for acks.
     Flush,
@@ -256,6 +256,7 @@ impl<'m> Proc<'m> {
     /// truncated) replay log re-supplies everything peers had sent it.
     pub(crate) fn attach_recovery(&mut self, state: Arc<RecoveryState>, resume: Option<ResumeCtx>) {
         self.recovery = Some(state);
+        self.pool.set_replay_safe();
         if let Some(r) = resume {
             self.crash_armed = false;
             if r.snapshot.is_none() {
@@ -265,14 +266,6 @@ impl<'m> Proc<'m> {
                 self.resume = Some(r);
             }
         }
-    }
-
-    /// True iff this processor runs under [`crate::Machine::run_recoverable`].
-    /// Planned executes use this to fall back from pooled (in-place mutated)
-    /// send buffers to owned ones that a replayed packet can safely share.
-    #[inline]
-    pub fn recovery_enabled(&self) -> bool {
-        self.recovery.is_some()
     }
 
     /// Global processor id, `0 ≤ id < P`.
@@ -552,16 +545,7 @@ impl<'m> Proc<'m> {
     /// Panics with a typed [`MachineError::ProcCrashed`] when the machine's
     /// fault plan crashes this processor at this send step.
     pub fn send<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
-        if let Some(t) = self.transport.as_mut() {
-            t.send_steps += 1;
-            if self.crash_armed {
-                if let Some((proc, step)) = t.plan().crash() {
-                    if proc == self.id && t.send_steps == step {
-                        panic_any(MachineError::ProcCrashed { proc, step });
-                    }
-                }
-            }
-        }
+        self.note_send_step();
         let words = data.wire_words();
         let data: Arc<dyn Any + Send + Sync> = Arc::new(data);
         if dst == self.id {
@@ -577,6 +561,37 @@ impl<'m> Proc<'m> {
             self.mailbox.hold(pkt);
             return;
         }
+        self.send_charged(dst, tag, words, data, true);
+    }
+
+    /// Count one program-level send and fire the fault plan's send-side
+    /// crash schedule when armed.
+    fn note_send_step(&mut self) {
+        if let Some(t) = self.transport.as_mut() {
+            t.send_steps += 1;
+            if self.crash_armed {
+                if let Some((proc, step)) = t.plan().crash() {
+                    if proc == self.id && t.send_steps == step {
+                        panic_any(MachineError::ProcCrashed { proc, step });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The charged remote send shared by [`Proc::send`] and
+    /// [`Proc::send_pooled`]: `τ + μ·m` charge, transmission, events and
+    /// metrics. `payload_account` charges the in-flight words to the
+    /// `payload` memory account; pooled sends pass `false`, because their
+    /// bytes belong to the slot, already charged to the `pool` account.
+    fn send_charged(
+        &mut self,
+        dst: usize,
+        tag: u64,
+        words: usize,
+        data: Arc<dyn Any + Send + Sync>,
+        payload_account: bool,
+    ) {
         let arrival_ns = if words == 0 {
             self.clock.now_ns()
         } else {
@@ -589,70 +604,23 @@ impl<'m> Proc<'m> {
         // charged until the last copy drops — refcount-truthful, like the
         // memory it models.
         let charge = match self.metrics.as_ref() {
-            Some(m) if words > 0 => Some(Arc::new(PayloadCharge::new(
+            Some(m) if payload_account && words > 0 => Some(Arc::new(PayloadCharge::new(
                 Arc::clone(&m.mem[MemAccount::Payload as usize]),
                 words as u64 * 4,
             ))),
             _ => None,
         };
-        let mut logged_replay = false;
-        let seq = match self.transport.as_mut() {
-            None => {
-                let pkt = Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge,
-                };
-                // The receiver's endpoint lives as long as the run (the
-                // driver parks channel endpoints until every thread joins).
-                self.senders[dst].send(Frame::Raw(pkt));
-                None
-            }
-            Some(t) => {
-                // Log *before* transmitting, under the sequence number the
-                // send will assign: once the frame is on the wire the
-                // receiver may consume it and crash at any moment, and the
-                // recovery driver's log clone must already hold everything
-                // the victim consumed. The logged arrival is the *delayed*
-                // one — the replayed packet must be bit-identical to the one
-                // the transport puts on the wire (the delay is keyed by
-                // sequence number alone).
-                if let Some(rec) = self.recovery.as_ref() {
-                    let s = t.next_seq_for(dst);
-                    let arrival = arrival_ns + t.plan().delay_ns(self.id, dst, s);
-                    rec.log_frame(
-                        dst,
-                        s,
-                        Packet {
-                            src: self.id,
-                            tag,
-                            arrival_ns: arrival,
-                            words,
-                            data: Arc::clone(&data),
-                            charge: charge.clone(),
-                        },
-                    );
-                    logged_replay = true;
-                }
-                let s = t.send(
-                    self.id,
-                    self.senders,
-                    dst,
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns,
-                        words,
-                        data,
-                        charge,
-                    },
-                );
-                Some(s)
-            }
-        };
+        let seq = self.transmit(
+            dst,
+            Packet {
+                src: self.id,
+                tag,
+                arrival_ns,
+                words,
+                data,
+                charge,
+            },
+        );
         if words > 0 {
             let bytes = words as i64 * 4;
             if self.events.is_some() {
@@ -667,28 +635,31 @@ impl<'m> Proc<'m> {
                         arrival_ns,
                     },
                 );
-                // In simulated time the in-flight payload occupies the
-                // sender from the send until the (pre-delay) arrival; the
-                // event pair brackets exactly that interval. Recorded
-                // directly — the gauge side is the guard's, not ours.
-                self.record(
-                    now,
-                    EventKind::MemSample {
-                        account: MemAccount::Payload,
-                        owner: self.id,
-                        delta_bytes: bytes,
-                    },
-                );
-                self.record(
-                    arrival_ns,
-                    EventKind::MemSample {
-                        account: MemAccount::Payload,
-                        owner: self.id,
-                        delta_bytes: -bytes,
-                    },
-                );
+                if payload_account {
+                    // In simulated time the in-flight payload occupies the
+                    // sender from the send until the (pre-delay) arrival;
+                    // the event pair brackets exactly that interval.
+                    // Recorded directly — the gauge side is the guard's,
+                    // not ours.
+                    self.record(
+                        now,
+                        EventKind::MemSample {
+                            account: MemAccount::Payload,
+                            owner: self.id,
+                            delta_bytes: bytes,
+                        },
+                    );
+                    self.record(
+                        arrival_ns,
+                        EventKind::MemSample {
+                            account: MemAccount::Payload,
+                            owner: self.id,
+                            delta_bytes: -bytes,
+                        },
+                    );
+                }
             }
-            if logged_replay {
+            if seq.is_some() && self.recovery.is_some() {
                 // The replay log retains a copy of this frame on the
                 // destination's behalf until *its* next epoch boundary:
                 // charged to the destination's account (owner ≠ recorder —
@@ -707,6 +678,34 @@ impl<'m> Proc<'m> {
         if seq.is_some() {
             self.drain_transport_events();
         }
+    }
+
+    /// Put `pkt` on the wire to `dst`: sequenced through the reliable
+    /// transport when the machine has one, raw otherwise. Returns the
+    /// sequence number of a sequenced frame.
+    ///
+    /// Under crash recovery the frame is logged *before* it is
+    /// transmitted, under the sequence number the send will assign: once
+    /// the frame is on the wire the receiver may consume it and crash at
+    /// any moment, and the recovery driver's log clone must already hold
+    /// everything the victim consumed. The logged arrival is the *delayed*
+    /// one — the replayed packet must be bit-identical to the one the
+    /// transport puts on the wire (the delay is keyed by sequence number
+    /// alone).
+    fn transmit(&mut self, dst: usize, pkt: Packet) -> Option<u64> {
+        let Some(t) = self.transport.as_mut() else {
+            // The receiver's endpoint lives as long as the run (the driver
+            // parks channel endpoints until every thread joins).
+            self.senders[dst].send(Frame::Raw(pkt));
+            return None;
+        };
+        if let Some(rec) = self.recovery.as_ref() {
+            let s = t.next_seq_for(dst);
+            let mut logged = pkt.clone();
+            logged.arrival_ns += t.plan().delay_ns(self.id, dst, s);
+            rec.log_frame(dst, s, logged);
+        }
+        Some(t.send(self.id, self.senders, dst, pkt))
     }
 
     /// Receive the earliest message from `src` under `tag`, blocking until it
@@ -837,7 +836,7 @@ impl<'m> Proc<'m> {
     /// rule: among ready processors, the one furthest behind in simulated
     /// time runs first). Woken early by a frame sent to this processor (only
     /// the awaited one when the channel's wait filter is armed) or by a
-    /// pool-slot return. The wait is attributed to the virtual processor's
+    /// pool-slot decode. The wait is attributed to the virtual processor's
     /// own wall profile under `sched.park` — carrier threads have no
     /// identity of their own.
     fn park(&mut self, cause: ParkCause, timeout: Duration) -> ParkOutcome {
@@ -1065,39 +1064,19 @@ impl<'m> Proc<'m> {
     /// replayed copy. Zero charged words and a `-∞` arrival keep them
     /// invisible to the cost model, events, and metrics either way.
     fn send_uncharged<P: Payload>(&mut self, dst: usize, tag: u64, data: P) {
-        if dst != self.id {
-            if let (Some(rec), Some(t)) = (self.recovery.as_ref(), self.transport.as_mut()) {
-                let data: Arc<dyn Any + Send + Sync> = Arc::new(data);
-                // Log before transmitting (see `Proc::send`): the receiver
-                // may consume the frame and crash before a post-send log
-                // append would land, and the replay clone must not miss it.
-                rec.log_frame(
-                    dst,
-                    t.next_seq_for(dst),
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns: f64::NEG_INFINITY,
-                        words: 0,
-                        data: Arc::clone(&data),
-                        charge: None,
-                    },
-                );
-                t.send(
-                    self.id,
-                    self.senders,
-                    dst,
-                    Packet {
-                        src: self.id,
-                        tag,
-                        arrival_ns: f64::NEG_INFINITY,
-                        words: 0,
-                        data,
-                        charge: None,
-                    },
-                );
-                return;
-            }
+        if dst != self.id && self.recovery.is_some() && self.transport.is_some() {
+            self.transmit(
+                dst,
+                Packet {
+                    src: self.id,
+                    tag,
+                    arrival_ns: f64::NEG_INFINITY,
+                    words: 0,
+                    data: Arc::new(data),
+                    charge: None,
+                },
+            );
+            return;
         }
         let words = data.wire_words();
         let pkt = Packet {
@@ -1178,6 +1157,10 @@ impl<'m> Proc<'m> {
         };
         let expected = self.transport.as_ref().map(|t| t.expected_all().to_vec());
         let (log_before, log_after) = rec.truncate_log(self.id, expected.as_deref());
+        // Past the barrier every peer has decoded this processor's sends of
+        // the epoch and truncates their log entries before its next program
+        // step, so no replay can read those pool slots again.
+        self.pool.release_pins();
         // Square this processor's replay-log account with the truncation.
         // Senders charged the account event-side only (owner ≠ recorder),
         // so the gauge learns the interval peak here — an absolute `set` to
@@ -1423,21 +1406,29 @@ impl<'m> Proc<'m> {
     }
 
     /// Check a reusable send buffer out of this processor's pool for plan
-    /// `key`, destination `dst`. Advances the entry's two-slot rotation.
+    /// `key`, destination `dst`, reset and ready to fill. Advances the
+    /// entry's rotation (see [`crate::pool`]).
     ///
-    /// If the slot is still staged or checked out — the receiver has not
-    /// finished with the *previous* execute's send through it — this blocks
-    /// (wall-clock only; the simulated clock is untouched) until the
-    /// receiver returns the buffer, pumping the reliable transport and
-    /// draining incoming frames meanwhile so progress is never stalled by
-    /// the wait itself.
+    /// On a plain run, if the rotation's slot is still staged — the
+    /// receiver has not yet decoded the *previous* execute's send through
+    /// it — this blocks (wall-clock only; the simulated clock is untouched)
+    /// until the receiver's decode returns it, pumping the reliable
+    /// transport and draining incoming frames meanwhile so progress is
+    /// never stalled by the wait itself. Under crash recovery a checkout
+    /// never blocks: it skips slots pinned for replay and grows the entry
+    /// instead, counted by the `pool.slots_grown` metric.
     pub fn pool_checkout<B: Reusable>(&mut self, key: u64, dst: usize) -> (Arc<PoolSlot<B>>, B) {
-        let slot = self.pool.next_slot::<B>(key, dst);
-        if let Some(buf) = slot.try_checkout() {
-            return (slot, buf);
-        }
+        let slot = match self.pool.checkout::<B>(key, dst) {
+            Checkout::Ready { slot, buf, grown } => {
+                if grown {
+                    self.inc_counter("pool.slots_grown", 1);
+                }
+                return (slot, buf);
+            }
+            Checkout::Busy(slot) => slot,
+        };
         // Slow path: register as the slot's waker and park. The receiver's
-        // `put_back` — on whatever carrier it runs — unparks this processor
+        // decode — on whatever carrier it runs — unparks this processor
         // directly, as does any incoming frame; there is no spinning or
         // polling anywhere on this path.
         slot.set_waker(Some((Arc::clone(&self.sched), self.id)));
@@ -1456,7 +1447,7 @@ impl<'m> Proc<'m> {
                     panic_any(e);
                 }
             }
-            if let Some(buf) = slot.try_checkout() {
+            if let Some(buf) = slot.try_checkout(false) {
                 slot.set_waker(None);
                 return (slot, buf);
             }
@@ -1464,7 +1455,7 @@ impl<'m> Proc<'m> {
             if now >= deadline {
                 slot.set_waker(None);
                 panic!(
-                    "proc {}: pool slot (key {key}, dst {dst}) was never returned \
+                    "proc {}: pool slot (key {key}, dst {dst}) was never decoded \
                      within {:?} — receiver stalled or plan executed unevenly",
                     self.id, self.recv_timeout
                 );
@@ -1481,33 +1472,20 @@ impl<'m> Proc<'m> {
         self.pool.current_slot::<B>(key, dst)
     }
 
-    /// Send the staged contents of a pooled slot to `dst` under `tag`.
+    /// Send the staged contents of the slot most recently checked out for
+    /// `(key, dst)` to `dst` under `tag`.
     ///
     /// Identical to [`Proc::send`] in every charged and observed respect —
-    /// crash-step accounting, `τ + μ·m` charge, events, metrics — but the
-    /// packet payload is the `Arc`-shared slot itself: no buffer changes
-    /// hands, and the receiver returns it via [`PoolSlot::put_back`].
-    pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, slot: &Arc<PoolSlot<B>>) {
+    /// crash-step accounting, `τ + μ·m` charge, replay logging, events,
+    /// metrics — but the packet payload is the `Arc`-shared slot itself:
+    /// no buffer changes hands, and the receiver decodes it in place with
+    /// [`PoolSlot::decode`]. Under crash recovery the slot stays pinned
+    /// until this processor's next epoch boundary.
+    pub fn send_pooled<B: Reusable>(&mut self, dst: usize, tag: u64, key: u64) {
         debug_assert_ne!(dst, self.id, "self slots are decoded in place, never sent");
-        assert!(
-            self.recovery.is_none(),
-            "pooled sends are unavailable under crash recovery: a replayed \
-             packet must keep sharing its original payload, which an in-place \
-             reused pool buffer would have overwritten (planned executes fall \
-             back to the owned-buffer path; see Proc::recovery_enabled)"
-        );
-        if let Some(t) = self.transport.as_mut() {
-            t.send_steps += 1;
-            if self.crash_armed {
-                if let Some((proc, step)) = t.plan().crash() {
-                    if proc == self.id && t.send_steps == step {
-                        panic_any(MachineError::ProcCrashed { proc, step });
-                    }
-                }
-            }
-        }
+        self.note_send_step();
+        let slot = self.pool.sending::<B>(key, dst);
         let words = slot.staged_words();
-        let data: Arc<dyn Any + Send + Sync> = Arc::clone(slot) as _;
         // A pooled buffer's footprint is its high-water capacity, charged
         // once to the pool account as it grows and never released (the
         // buffer is reused for the plan's lifetime). Steady-state sends
@@ -1515,67 +1493,13 @@ impl<'m> Proc<'m> {
         // allocation-free hot path — no `PayloadCharge` guard either, for
         // the same reason: the slot, not the wire, owns these bytes.
         if !(self.events.is_none() && self.metrics.is_none()) {
-            let growth = slot.note_charged(words as u64 * 4);
+            let growth = self.pool.charge::<B>(key, dst, words as u64 * 4);
             if growth > 0 {
                 let now = self.clock.now_ns();
                 self.mem_sample(MemAccount::Pool, self.id, now, growth as i64);
             }
         }
-        let arrival_ns = if words == 0 {
-            self.clock.now_ns()
-        } else {
-            self.words_to[dst] += words as u64;
-            self.clock.charge_send(words)
-        };
-        let seq = match self.transport.as_mut() {
-            None => {
-                let pkt = Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge: None,
-                };
-                self.senders[dst].send(Frame::Raw(pkt));
-                None
-            }
-            Some(t) => Some(t.send(
-                self.id,
-                self.senders,
-                dst,
-                Packet {
-                    src: self.id,
-                    tag,
-                    arrival_ns,
-                    words,
-                    data,
-                    charge: None,
-                },
-            )),
-        };
-        if words > 0 {
-            if self.events.is_some() {
-                let now = self.clock.now_ns();
-                self.record(
-                    now,
-                    EventKind::Send {
-                        dst,
-                        tag,
-                        words,
-                        seq,
-                        arrival_ns,
-                    },
-                );
-            }
-            if let Some(m) = self.metrics.as_ref() {
-                m.msg_sent.inc();
-                m.msg_words.observe(words as u64);
-            }
-        }
-        if seq.is_some() {
-            self.drain_transport_events();
-        }
+        self.send_charged(dst, tag, words, slot, false);
     }
 
     /// Borrow the processor's pre-reserved packet scratch vector (empty,

@@ -74,7 +74,7 @@ pub(crate) struct EpochSnapshot {
     pub(crate) events: Vec<Event>,
     /// Metric registry snapshot (None unless metrics are on).
     pub(crate) metrics: Option<MetricsSnapshot>,
-    /// Buffer-pool slot rotation (which slot each entry hands out next).
+    /// Buffer-pool rotations and charged high-waters (see [`PoolSnapshot`]).
     pub(crate) pool: PoolSnapshot,
     /// The program's own state, captured through [`Checkpoint`].
     pub(crate) user: Box<dyn Any + Send>,

@@ -360,7 +360,7 @@ impl Scheduler {
     }
 
     /// Decide a wake of processor `id`: senders call this after enqueuing
-    /// a frame (via the channel waker), pool slots on `put_back`. Parked
+    /// a frame (via the channel waker), pool slots on their decode. Parked
     /// targets move to the ready queue at their park key; any other state
     /// records a wake token so a concurrent or future park cannot miss the
     /// signal. The returned carrier wake-ups must be delivered once the

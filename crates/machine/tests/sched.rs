@@ -54,15 +54,13 @@ fn mixed_workload(p: &mut Proc) -> Vec<i64> {
     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, next);
     buf.push(acc[0]);
     slot.stash(buf);
-    p.send_pooled(next, tags::USER + 10, &slot);
+    p.send_pooled::<Vec<i64>>(next, tags::USER + 10, key);
     let pkt = p.recv_packet(prev, tags::USER + 10);
     let inbound = pkt
         .data
         .downcast::<PoolSlot<Vec<i64>>>()
         .expect("pooled send delivers the slot");
-    let got = inbound.take_staged();
-    acc.push(got[0]);
-    inbound.put_back(got);
+    acc.push(inbound.decode(|got| got[0]));
     acc
 }
 
@@ -172,7 +170,7 @@ fn pool_backpressure_parks_under_a_single_permit() {
                     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, peer);
                     buf.push(i as i64 * 7);
                     slot.stash(buf);
-                    p.send_pooled(peer, tags::USER + i, &slot);
+                    p.send_pooled::<Vec<i64>>(peer, tags::USER + i, key);
                 }
                 0
             } else {
@@ -183,9 +181,7 @@ fn pool_backpressure_parks_under_a_single_permit() {
                         .data
                         .downcast::<PoolSlot<Vec<i64>>>()
                         .expect("pooled send delivers the slot");
-                    let buf = slot.take_staged();
-                    sum += buf[0];
-                    slot.put_back(buf);
+                    sum += slot.decode(|buf| buf[0]);
                 }
                 sum
             }
@@ -217,7 +213,7 @@ fn slept_parks_by_cause_add_up_to_the_total() {
                     let (slot, mut buf) = p.pool_checkout::<Vec<i64>>(key, peer);
                     buf.push(i as i64);
                     slot.stash(buf);
-                    p.send_pooled(peer, tags::USER + 1 + i, &slot);
+                    p.send_pooled::<Vec<i64>>(peer, tags::USER + 1 + i, key);
                 }
             } else {
                 for i in 0..3u64 {
@@ -226,8 +222,7 @@ fn slept_parks_by_cause_add_up_to_the_total() {
                         .data
                         .downcast::<PoolSlot<Vec<i64>>>()
                         .expect("pooled send delivers the slot");
-                    let buf = slot.take_staged();
-                    slot.put_back(buf);
+                    slot.decode(|_| ());
                 }
             }
         });
